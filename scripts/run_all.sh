@@ -5,7 +5,7 @@ set -euo pipefail
 
 here="$(cd "$(dirname "$0")" && pwd)"
 out="${1:-results}"
-threads="${2:-${FDD_RECON_THREADS:-4}}"
+threads="${2:-${FDD_RECON_THREADS:-1}}"
 
 for cfg in "$here"/configs/*.json; do
     name="$(basename "$cfg" .json)"

@@ -51,8 +51,10 @@ def lmmse_estimate(
 ) -> np.ndarray:
     """Linear MMSE interpolation/denoising: h = R_hp (R_pp + s^2 I)^-1 y_p.
 
-    genie_covariance is the exact MN x MN second-order statistic of the stacked
-    channel under the scenario ensemble.
+    genie_covariance is an MN x MN second-order statistic of the stacked
+    channel under the scenario ensemble.  harness.genie_covariance builds it
+    from `draws` channel draws (`covariance_draws` in a reconstruction run), so
+    it is a sample covariance of rank at most `draws`, not the exact one.
     """
     rows = pilot_row_indices(cfg, pattern)
     if received_pilots.shape != rows.shape:

@@ -73,6 +73,12 @@ def wrap_unit(x):
     return np.mod(x, 1.0)
 
 
+def wrapped_dist(a: float, b: float) -> float:
+    """Distance between two coordinates on the unit circle, in [0, 0.5]."""
+    d = abs(a - b) % 1.0
+    return min(d, 1.0 - d)
+
+
 def normalize_path(cfg: SystemConfig, path: PathComponent) -> NormalizedPath:
     mu = wrap_unit(cfg.delta_f * path.delay)
     nu = wrap_unit(cfg.d_over_lambda * np.sin(path.angle))

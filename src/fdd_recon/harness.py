@@ -13,7 +13,7 @@ import numpy as np
 
 from .baselines import lmmse_filter, ls_estimate, pilot_row_indices
 from .bounds import crb
-from .config import NormalizedPath, PathComponent, SystemConfig, denormalize_path, normalize_path
+from .config import NormalizedPath, PathComponent, SystemConfig, denormalize_path, normalize_path, wrapped_dist
 from .downlink import (
     PilotPattern,
     RankDeficientError,
@@ -85,11 +85,6 @@ def _random_phase(rng: np.random.Generator) -> complex:
     return complex(np.exp(2j * np.pi * rng.uniform()))
 
 
-def _wrapped_dist(a: float, b: float) -> float:
-    d = abs(a - b)
-    return min(d, 1.0 - d)
-
-
 def generate_scenario(
     cfg: SystemConfig,
     spec: ScenarioSpec,
@@ -136,8 +131,8 @@ def generate_scenario(
                     f"could not place {count} paths with separations ({sep_mu}, {sep_nu})"
                 )
             mu, nu = rng.uniform(), rng.uniform()
-            if all(_wrapped_dist(mu, m) >= sep_mu for m in mus) and all(
-                _wrapped_dist(nu, v) >= sep_nu for v in nus
+            if all(wrapped_dist(mu, m) >= sep_mu for m in mus) and all(
+                wrapped_dist(nu, v) >= sep_nu for v in nus
             ):
                 mus.append(mu)
                 nus.append(nu)
@@ -242,8 +237,8 @@ def match_paths(
     pairs = []
     for i, t in enumerate(truth):
         for j, d in enumerate(detected):
-            dm = _wrapped_dist(t.mu, d.mu)
-            dn = _wrapped_dist(t.nu, d.nu)
+            dm = wrapped_dist(t.mu, d.mu)
+            dn = wrapped_dist(t.nu, d.nu)
             if dm <= radius_mu and dn <= radius_nu:
                 pairs.append((dm + dn, i, j))
     pairs.sort()
@@ -302,8 +297,8 @@ def run_crb_experiment(
             y = add_noise(synthesize_uplink(cfg, paths), 1.0, rng)
             res = nomp_extract(y, cfg, nomp_cfg)
             matches = match_paths(truth, res.paths, radius_mu, radius_nu)
-            sq_mu = [(_wrapped_dist(truth[i].mu, res.paths[j].mu)) ** 2 for i, j in matches]
-            sq_nu = [(_wrapped_dist(truth[i].nu, res.paths[j].nu)) ** 2 for i, j in matches]
+            sq_mu = [(wrapped_dist(truth[i].mu, res.paths[j].mu)) ** 2 for i, j in matches]
+            sq_nu = [(wrapped_dist(truth[i].nu, res.paths[j].nu)) ** 2 for i, j in matches]
             missed = len(truth) - len(matches)
             fakes = len(res.paths) - len(matches)
             return sq_mu, sq_nu, missed, fakes
@@ -476,8 +471,8 @@ def genie_covariance(
     draws: int = 400,
     downlink: bool = True,
 ) -> np.ndarray:
-    """Ensemble second-order statistic E[h h^H] of the (unit total power)
-    stacked channel under the scenario distribution."""
+    """Sample estimate of E[h h^H] for the (unit total power) stacked channel
+    under the scenario distribution, from `draws` draws (rank <= draws)."""
     synth = synthesize_downlink if downlink else synthesize_uplink
     H = np.empty((draws, cfg.size), dtype=complex)
     for d in range(draws):

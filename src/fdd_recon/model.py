@@ -30,7 +30,7 @@ def atom(cfg: SystemConfig, mu: float, nu: float) -> np.ndarray:
 
     Unit-modulus entries, so ||atom||^2 == M*N for every (mu, nu).
     """
-    return np.kron(delay_vector(cfg, mu), steering_vector(cfg, nu))
+    return np.outer(delay_vector(cfg, mu), steering_vector(cfg, nu)).ravel()
 
 
 def synthesize_from_normalized(cfg: SystemConfig, paths: Iterable[NormalizedPath]) -> np.ndarray:
@@ -70,7 +70,10 @@ def synthesize_siso(cfg: SystemConfig, paths: Sequence[PathComponent]) -> np.nda
 
 
 def as_grid(cfg: SystemConfig, vec: np.ndarray) -> np.ndarray:
-    """Reshape a stacked vector to (N, M): rows are subcarriers."""
+    """Reshape a stacked vector to (N, M): rows are subcarriers.  An (N, M)
+    grid is returned as it is."""
+    if vec.shape == (cfg.N, cfg.M):
+        return vec
     if vec.shape != (cfg.size,):
         raise ValueError(f"expected length {cfg.size}, got {vec.shape}")
     return vec.reshape(cfg.N, cfg.M)

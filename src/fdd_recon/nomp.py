@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Literal, Sequence, Tuple
 
 import numpy as np
 
-from .config import NormalizedPath, SystemConfig, wrap_unit
-from .model import as_grid, atom, synthesize_from_normalized
+from .config import NormalizedPath, SystemConfig, wrap_unit, wrapped_dist
+from .model import as_grid, atom, delay_vector, steering_vector, synthesize_from_normalized
 
 TWO_PI = 2.0 * np.pi
 
 # Wrapped coordinate distance below which two detections count as duplicates.
 DUPLICATE_TOL = 1e-9
+
+# The pursuit gives up ("stalled") after this many iterations per allowed path;
+# an iteration that only re-detects a duplicate adds no path.
+MAX_ITERATIONS_PER_PATH = 4
 
 
 class RankDeficientError(ValueError):
@@ -60,14 +65,37 @@ class NompResult:
     paths: List[NormalizedPath]
     residual_energy: float
     iterations: int
-    stop_reason: Literal["criterion", "max_paths"]
+    stop_reason: Literal["criterion", "max_paths", "stalled"]
 
 
-def _index_ramps(cfg: SystemConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat per-element (2*pi*n, 2*pi*m) multipliers in stacked order."""
-    n = np.kron(cfg.subcarrier_indices, np.ones(cfg.M))
-    m = np.kron(np.ones(cfg.N), cfg.antenna_indices)
-    return TWO_PI * n, TWO_PI * m
+@lru_cache(maxsize=16)
+def _ramp_powers(cfg: SystemConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows (1, 2*pi*n, (2*pi*n)^2) over the subcarriers and columns
+    (1, 2*pi*m, (2*pi*m)^2) over the antennas, built once per config."""
+    n = TWO_PI * cfg.subcarrier_indices
+    m = TWO_PI * cfg.antenna_indices
+    wn = np.vstack([np.ones_like(n), n, n**2])
+    wm = np.column_stack([np.ones_like(m), m, m**2])
+    wn.flags.writeable = wm.flags.writeable = False
+    return wn, wm
+
+
+def _moments(cfg: SystemConfig, grid: np.ndarray, mu: float, nu: float) -> np.ndarray:
+    """Q[j, k] = sum_{n,m} conj(r[n, m]) (2*pi*n)^j (2*pi*m)^k u[n, m] on the
+    N x M residual grid; the atom u = d(mu) (x) a(nu) is never formed."""
+    wn, wm = _ramp_powers(cfg)
+    d = delay_vector(cfg, mu).conj()
+    a = steering_vector(cfg, nu).conj()
+    return ((wn * d) @ grid @ (wm * a[:, None])).conj()
+
+
+def _grad_hess_from_moments(q: np.ndarray, g: complex):
+    # d^(j+k) u / d mu^j d nu^k = (i*2*pi*n)^j (i*2*pi*m)^k u, and ||u||^2 does
+    # not depend on (mu, nu), so the |g|^2 terms of S drop out of every derivative.
+    gq = g * q
+    grad = -2.0 * np.array([gq[1, 0].imag, gq[0, 1].imag])
+    hess = -2.0 * np.array([[gq[2, 0].real, gq[1, 1].real], [gq[1, 1].real, gq[0, 2].real]])
+    return grad, hess
 
 
 def objective_S(cfg: SystemConfig, residual: np.ndarray, g: complex, mu: float, nu: float) -> float:
@@ -93,30 +121,15 @@ def coarse_detect(cfg: SystemConfig, residual: np.ndarray, nomp_cfg: NompConfig)
 
 
 def ls_gain_single(cfg: SystemConfig, residual: np.ndarray, mu: float, nu: float) -> complex:
-    """Scalar LS gain u^H r / ||u||^2."""
-    return complex(np.vdot(atom(cfg, mu, nu), residual) / cfg.size)
+    """Scalar LS gain u^H r / ||u||^2; the residual is stacked or an N x M grid."""
+    d = delay_vector(cfg, mu).conj()
+    a = steering_vector(cfg, nu).conj()
+    return complex(d @ as_grid(cfg, residual) @ a / cfg.size)
 
 
 def _grad_hess(cfg: SystemConfig, residual: np.ndarray, g: complex, mu: float, nu: float):
     """Analytic gradient and Hessian of S with respect to (mu, nu)."""
-    wn, wm = _index_ramps(cfg)
-    u = atom(cfg, mu, nu)
-    du_mu = 1j * wn * u
-    du_nu = 1j * wm * u
-    e = residual - g * u
-
-    grad = np.array(
-        [
-            2.0 * np.real(g * np.vdot(e, du_mu)),
-            2.0 * np.real(g * np.vdot(e, du_nu)),
-        ]
-    )
-    g2 = np.abs(g) ** 2
-    h_mm = 2.0 * np.real(g * np.vdot(e, -(wn**2) * u) - g2 * np.vdot(du_mu, du_mu))
-    h_mn = 2.0 * np.real(g * np.vdot(e, -(wn * wm) * u) - g2 * np.vdot(du_nu, du_mu))
-    h_nn = 2.0 * np.real(g * np.vdot(e, -(wm**2) * u) - g2 * np.vdot(du_nu, du_nu))
-    hess = np.array([[h_mm, h_mn], [h_mn, h_nn]])
-    return grad, hess
+    return _grad_hess_from_moments(_moments(cfg, as_grid(cfg, residual), mu, nu), g)
 
 
 def newton_refine(
@@ -126,18 +139,24 @@ def newton_refine(
 
     The step is taken only when det(Hess) > 0 and Hess[0,0] < 0, and kept only
     when it does not reduce the objective; otherwise the inputs are returned
-    with applied=False.  After an accepted step the gain is re-fit by LS.
+    with applied=False.  After an accepted step the gain is re-fit by LS.  The
+    residual is stacked or an N x M grid.
     """
-    grad, hess = _grad_hess(cfg, residual, g, mu, nu)
+    grid = as_grid(cfg, residual)
+    q = _moments(cfg, grid, mu, nu)
+    grad, hess = _grad_hess_from_moments(q, g)
     det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
     if not (det > 0.0 and hess[0, 0] < 0.0):
         return g, mu, nu, False
 
-    step = np.linalg.solve(hess, grad)
-    mu_new = float(wrap_unit(mu - step[0]))
-    nu_new = float(wrap_unit(nu - step[1]))
-    g_new = ls_gain_single(cfg, residual, mu_new, nu_new)
-    if objective_S(cfg, residual, g_new, mu_new, nu_new) < objective_S(cfg, residual, g, mu, nu):
+    step_mu = (hess[1, 1] * grad[0] - hess[0, 1] * grad[1]) / det
+    step_nu = (hess[0, 0] * grad[1] - hess[1, 0] * grad[0]) / det
+    mu_new = float(wrap_unit(mu - step_mu))
+    nu_new = float(wrap_unit(nu - step_nu))
+    g_new = ls_gain_single(cfg, grid, mu_new, nu_new)
+    # S = 2 Re{g r^H u} - |g|^2 M N, which is |g|^2 M N at the LS gain
+    s_old = 2.0 * np.real(g * q[0, 0]) - abs(g) ** 2 * cfg.size
+    if abs(g_new) ** 2 * cfg.size < s_old:
         return g, mu, nu, False
     return g_new, mu_new, nu_new, True
 
@@ -145,22 +164,26 @@ def newton_refine(
 def cyclic_refine(
     cfg: SystemConfig, y: np.ndarray, paths: Sequence[NormalizedPath], rounds: int
 ) -> List[NormalizedPath]:
-    """Re-run the Newton step on each path in detection order, rounds times."""
+    """Re-run the Newton step on each path in detection order, rounds times.
+
+    The residual stays an N x M grid and each path's atom stays factored as
+    (delay, steering) vectors, so adding a path back and taking it out again
+    are rank-one updates.
+    """
     if not paths:
         raise ValueError("cyclic_refine needs at least one path")
     paths = [NormalizedPath(p.gain, p.mu, p.nu) for p in paths]
-    residual = y - synthesize_from_normalized(cfg, paths)
+    residual = as_grid(cfg, y - synthesize_from_normalized(cfg, paths))
+    factors = [(delay_vector(cfg, p.mu), steering_vector(cfg, p.nu)) for p in paths]
     for _ in range(rounds):
-        for p in paths:
-            r_plus = residual + p.gain * atom(cfg, p.mu, p.nu)
-            p.gain, p.mu, p.nu, _ = newton_refine(cfg, r_plus, p.gain, p.mu, p.nu)
-            residual = r_plus - p.gain * atom(cfg, p.mu, p.nu)
+        for i, p in enumerate(paths):
+            d, a = factors[i]
+            residual += p.gain * np.outer(d, a)
+            p.gain, p.mu, p.nu, applied = newton_refine(cfg, residual, p.gain, p.mu, p.nu)
+            if applied:
+                factors[i] = d, a = delay_vector(cfg, p.mu), steering_vector(cfg, p.nu)
+            residual -= p.gain * np.outer(d, a)
     return paths
-
-
-def _wrapped_dist(a: float, b: float) -> float:
-    d = abs(wrap_unit(a) - wrap_unit(b))
-    return min(d, 1.0 - d)
 
 
 def update_all_gains(cfg: SystemConfig, y: np.ndarray, paths: Sequence[NormalizedPath]) -> List[NormalizedPath]:
@@ -169,8 +192,8 @@ def update_all_gains(cfg: SystemConfig, y: np.ndarray, paths: Sequence[Normalize
         (i, j)
         for i in range(len(paths))
         for j in range(i + 1, len(paths))
-        if _wrapped_dist(paths[i].mu, paths[j].mu) < DUPLICATE_TOL
-        and _wrapped_dist(paths[i].nu, paths[j].nu) < DUPLICATE_TOL
+        if wrapped_dist(paths[i].mu, paths[j].mu) < DUPLICATE_TOL
+        and wrapped_dist(paths[i].nu, paths[j].nu) < DUPLICATE_TOL
     ]
     if dups:
         raise RankDeficientError("duplicate (mu, nu) detections", duplicates=dups)
@@ -206,14 +229,17 @@ def _stopping_fires(cfg: SystemConfig, residual: np.ndarray, rule: StoppingRule)
 
 def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> NompResult:
     """Full pursuit: detect / refine / cyclic-refine / gains-update until the
-    stopping rule fires or the path cap is reached."""
+    stopping rule fires, the path cap is reached, or the iteration cap of
+    MAX_ITERATIONS_PER_PATH * max_paths is reached ("stalled")."""
     if y.shape != (cfg.size,):
         raise ValueError(f"expected stacked vector of length {cfg.size}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y holds NaN or infinite entries")
     max_paths = nomp_cfg.resolve_max_paths(cfg)
     paths: List[NormalizedPath] = []
     residual = y.astype(complex).copy()
     iterations = 0
-    stop_reason: Literal["criterion", "max_paths"] = "max_paths"
+    stop_reason: Literal["criterion", "max_paths", "stalled"] = "max_paths"
 
     while True:
         if _stopping_fires(cfg, residual, nomp_cfg.stopping):
@@ -221,6 +247,9 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
             break
         if len(paths) >= max_paths:
             stop_reason = "max_paths"
+            break
+        if iterations >= MAX_ITERATIONS_PER_PATH * max_paths:
+            stop_reason = "stalled"
             break
 
         mu, nu, _ = coarse_detect(cfg, residual, nomp_cfg)

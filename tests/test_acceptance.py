@@ -26,10 +26,11 @@ from fdd_recon import (
     synthesize_from_normalized,
 )
 from fdd_recon.downlink import refine_gains
-from fdd_recon.harness import EqualPowerGrid, _wrapped_dist
+from fdd_recon.config import wrapped_dist
+from fdd_recon.harness import EqualPowerGrid
 from fdd_recon.nomp import _grad_hess, objective_S
 
-THREADS = int(os.environ.get("FDD_RECON_THREADS", "4"))
+THREADS = int(os.environ.get("FDD_RECON_THREADS", "1"))
 
 
 def report_line(capsys, criterion: int, ok: bool, detail: str):
@@ -123,8 +124,8 @@ def _random_separated_paths(rng, N, M, count):
     mus, nus = [], []
     while len(mus) < count:
         mu, nu = rng.uniform(), rng.uniform()
-        if all(_wrapped_dist(mu, m) >= cells_mu for m in mus) and all(
-            _wrapped_dist(nu, v) >= cells_nu for v in nus
+        if all(wrapped_dist(mu, m) >= cells_mu for m in mus) and all(
+            wrapped_dist(nu, v) >= cells_nu for v in nus
         ):
             mus.append(mu)
             nus.append(nu)
@@ -154,7 +155,7 @@ def test_criterion_4_noiseless_exact_recovery(capsys):
         count_ok &= len(res.paths) == len(truth)
         for t in truth:
             best = min(
-                max(_wrapped_dist(t.mu, d.mu) * cfg.N, _wrapped_dist(t.nu, d.nu) * cfg.M)
+                max(wrapped_dist(t.mu, d.mu) * cfg.N, wrapped_dist(t.nu, d.nu) * cfg.M)
                 for d in res.paths
             )
             worst_cells = max(worst_cells, best)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fdd_recon import (
     Cluster,
@@ -23,8 +25,8 @@ from fdd_recon import (
     run_phase_error_experiment,
     run_reconstruction_experiment,
 )
-from fdd_recon.config import NormalizedPath, normalize_path
-from fdd_recon.harness import DimensionMismatchError, _wrapped_dist, mse_linear
+from fdd_recon.config import NormalizedPath, normalize_path, wrapped_dist
+from fdd_recon.harness import DimensionMismatchError, mse_linear
 
 
 def cfg_mn(M, N, **kw):
@@ -72,8 +74,8 @@ class TestScenarios:
             norm = [normalize_path(cfg, p) for p in paths]
             for i in range(len(norm)):
                 for j in range(i + 1, len(norm)):
-                    assert _wrapped_dist(norm[i].mu, norm[j].mu) >= 1.0 / cfg.N - 1e-12
-                    assert _wrapped_dist(norm[i].nu, norm[j].nu) >= 1.0 / cfg.M - 1e-12
+                    assert wrapped_dist(norm[i].mu, norm[j].mu) >= 1.0 / cfg.N - 1e-12
+                    assert wrapped_dist(norm[i].nu, norm[j].nu) >= 1.0 / cfg.M - 1e-12
 
     def test_infeasible_separation_raises(self):
         cfg = cfg_mn(4, 8)
@@ -154,6 +156,17 @@ class TestMatchPaths:
         truth = [NormalizedPath(1.0, 0.1, 0.2), NormalizedPath(1.0, 0.105, 0.2)]
         det = [NormalizedPath(1.0, 0.1, 0.2)]
         assert len(match_paths(truth, det, 0.02, 0.02)) == 1
+
+    @given(
+        a=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        b=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        shift=st.integers(-3, 3),
+    )
+    def test_wrapped_dist_on_the_unit_interval(self, a, b, shift):
+        # identical to the plain distance formula on [0, 1); whole turns drop out
+        d = abs(a - b)
+        assert wrapped_dist(a, b) == min(d, 1.0 - d)
+        assert wrapped_dist(a + shift, b) == pytest.approx(min(d, 1.0 - d), abs=1e-12)
 
 
 class TestPhaseErrorLaw:

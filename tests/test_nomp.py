@@ -1,10 +1,23 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdd_recon import NormalizedPath, SystemConfig, atom, synthesize_from_normalized
+from fdd_recon import (
+    NormalizedPath,
+    SystemConfig,
+    atom,
+    delay_vector,
+    steering_vector,
+    synthesize_from_normalized,
+)
+from fdd_recon import nomp
+from fdd_recon.config import wrap_unit, wrapped_dist
 from fdd_recon.nomp import (
+    MAX_ITERATIONS_PER_PATH,
     NompConfig,
     RankDeficientError,
     StoppingRule,
@@ -25,6 +38,172 @@ from fdd_recon.nomp import _grad_hess
 def make_noise(cfg, rng, variance=1.0):
     s = np.sqrt(variance / 2)
     return s * (rng.standard_normal(cfg.size) + 1j * rng.standard_normal(cfg.size))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging (SIGALRM, main thread only)."""
+
+    def fail(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Dense reference for the Newton kernel: the stacked-vector formulas with
+# Kronecker atoms and flat index ramps that the grid form replaced.
+
+
+def dense_atom(cfg, mu, nu):
+    return np.kron(delay_vector(cfg, mu), steering_vector(cfg, nu))
+
+
+def dense_index_ramps(cfg):
+    n = np.kron(cfg.subcarrier_indices, np.ones(cfg.M))
+    m = np.kron(np.ones(cfg.N), cfg.antenna_indices)
+    return 2 * np.pi * n, 2 * np.pi * m
+
+
+def dense_objective(cfg, r, g, mu, nu):
+    return float(2.0 * np.real(np.vdot(r, g * dense_atom(cfg, mu, nu))) - abs(g) ** 2 * cfg.size)
+
+
+def dense_grad_hess(cfg, r, g, mu, nu):
+    wn, wm = dense_index_ramps(cfg)
+    u = dense_atom(cfg, mu, nu)
+    du_mu, du_nu = 1j * wn * u, 1j * wm * u
+    e = r - g * u
+    grad = np.array([2.0 * np.real(g * np.vdot(e, du_mu)), 2.0 * np.real(g * np.vdot(e, du_nu))])
+    g2 = abs(g) ** 2
+    h_mm = 2.0 * np.real(g * np.vdot(e, -(wn**2) * u) - g2 * np.vdot(du_mu, du_mu))
+    h_mn = 2.0 * np.real(g * np.vdot(e, -(wn * wm) * u) - g2 * np.vdot(du_nu, du_mu))
+    h_nn = 2.0 * np.real(g * np.vdot(e, -(wm**2) * u) - g2 * np.vdot(du_nu, du_nu))
+    return grad, np.array([[h_mm, h_mn], [h_mn, h_nn]])
+
+
+def dense_newton(cfg, r, g, mu, nu):
+    grad, hess = dense_grad_hess(cfg, r, g, mu, nu)
+    det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
+    if not (det > 0.0 and hess[0, 0] < 0.0):
+        return g, mu, nu, False
+    step = np.linalg.solve(hess, grad)
+    mu_new, nu_new = float(wrap_unit(mu - step[0])), float(wrap_unit(nu - step[1]))
+    g_new = complex(np.vdot(dense_atom(cfg, mu_new, nu_new), r) / cfg.size)
+    if dense_objective(cfg, r, g_new, mu_new, nu_new) < dense_objective(cfg, r, g, mu, nu):
+        return g, mu, nu, False
+    return g_new, mu_new, nu_new, True
+
+
+def dense_cyclic(cfg, y, paths, rounds):
+    paths = [NormalizedPath(p.gain, p.mu, p.nu) for p in paths]
+    residual = y - sum(p.gain * dense_atom(cfg, p.mu, p.nu) for p in paths)
+    for _ in range(rounds):
+        for p in paths:
+            r_plus = residual + p.gain * dense_atom(cfg, p.mu, p.nu)
+            p.gain, p.mu, p.nu, _ = dense_newton(cfg, r_plus, p.gain, p.mu, p.nu)
+            residual = r_plus - p.gain * dense_atom(cfg, p.mu, p.nu)
+    return paths
+
+
+def assert_close_rel(x, ref, rel=1e-9):
+    assert np.linalg.norm(np.subtract(x, ref)) <= rel * np.linalg.norm(ref)
+
+
+def assert_same_path(got, ref, rel=1e-9):
+    g, mu, nu = got
+    g_ref, mu_ref, nu_ref = ref
+    assert abs(g - g_ref) <= rel * abs(g_ref)
+    assert wrapped_dist(mu, mu_ref) <= rel
+    assert wrapped_dist(nu, nu_ref) <= rel
+
+
+# odd and even sizes, and the single-antenna case
+ORACLE_SIZES = [(1, 8), (1, 7), (3, 5), (4, 8), (5, 6), (8, 3), (6, 16)]
+
+
+def near_path_residual(cfg, rng, noise=0.3):
+    """A residual holding one path plus noise, and a Newton start near it."""
+    g0 = complex(2.0 * np.exp(2j * np.pi * rng.uniform()))
+    mu0, nu0 = rng.uniform(), rng.uniform()
+    r = g0 * dense_atom(cfg, mu0, nu0) + make_noise(cfg, rng, noise)
+    mu = float(wrap_unit(mu0 + rng.uniform(-0.2, 0.2) / cfg.N))
+    nu = float(wrap_unit(nu0 + rng.uniform(-0.2, 0.2) / cfg.M))
+    g = complex(np.vdot(dense_atom(cfg, mu, nu), r) / cfg.size)
+    return r, g, mu, nu
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("M,N", ORACLE_SIZES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grad_hess_on_random_residuals(self, M, N, seed):
+        cfg = SystemConfig(M=M, N=N)
+        rng = np.random.default_rng(seed)
+        r = make_noise(cfg, rng)
+        g = complex(rng.standard_normal() + 1j * rng.standard_normal())
+        mu, nu = rng.uniform(), rng.uniform()
+        grad, hess = _grad_hess(cfg, r, g, mu, nu)
+        grad_ref, hess_ref = dense_grad_hess(cfg, r, g, mu, nu)
+        assert_close_rel(grad, grad_ref)
+        assert_close_rel(hess, hess_ref)
+        # the N x M grid gives the same numbers as the stacked vector
+        grid_grad, grid_hess = _grad_hess(cfg, r.reshape(N, M), g, mu, nu)
+        np.testing.assert_array_equal(grid_grad, grad)
+        np.testing.assert_array_equal(grid_hess, hess)
+
+    @pytest.mark.parametrize("M,N", ORACLE_SIZES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_newton_refine_values_and_flag(self, M, N, seed):
+        cfg = SystemConfig(M=M, N=N)
+        r, g, mu, nu = near_path_residual(cfg, np.random.default_rng(seed))
+        *got, applied = newton_refine(cfg, r, g, mu, nu)
+        *ref, applied_ref = dense_newton(cfg, r, g, mu, nu)
+        assert applied == applied_ref
+        # a single antenna carries no angle information: the Hessian is singular
+        assert applied == (M > 1)
+        assert_same_path(got, ref)
+
+    @pytest.mark.parametrize("M,N", ORACLE_SIZES)
+    def test_concavity_guard_rejects_like_the_reference(self, M, N):
+        # at the true parameters with the gain's sign flipped, S has a local
+        # minimum: the Hessian is positive (semi-)definite and the guard rejects
+        cfg = SystemConfig(M=M, N=N)
+        g0, mu0, nu0 = 1.5 - 0.5j, 0.23, 0.71
+        r = g0 * dense_atom(cfg, mu0, nu0)
+        _, hess = dense_grad_hess(cfg, r, -g0, mu0, nu0)
+        assert hess[0, 0] > 0.0
+        assert newton_refine(cfg, r, -g0, mu0, nu0) == dense_newton(cfg, r, -g0, mu0, nu0)
+        assert newton_refine(cfg, r, -g0, mu0, nu0) == (-g0, mu0, nu0, False)
+
+    @pytest.mark.parametrize("M,N", ORACLE_SIZES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_cyclic_refine_on_random_residuals(self, M, N, seed):
+        cfg = SystemConfig(M=M, N=N)
+        rng = np.random.default_rng(seed)
+        truth = [
+            NormalizedPath(complex(2.0 * np.exp(2j * np.pi * rng.uniform())), rng.uniform(), rng.uniform())
+            for _ in range(3)
+        ]
+        y = sum(p.gain * dense_atom(cfg, p.mu, p.nu) for p in truth) + make_noise(cfg, rng, 0.3)
+        start = [
+            NormalizedPath(
+                p.gain * 0.9,
+                float(wrap_unit(p.mu + rng.uniform(-0.2, 0.2) / cfg.N)),
+                float(wrap_unit(p.nu + rng.uniform(-0.2, 0.2) / cfg.M)),
+            )
+            for p in truth
+        ]
+        out = cyclic_refine(cfg, y, start, rounds=3)
+        ref = dense_cyclic(cfg, y, start, rounds=3)
+        for a, b in zip(out, ref):
+            assert_same_path((a.gain, a.mu, a.nu), (b.gain, b.mu, b.nu))
+        # the inputs are left untouched
+        assert start[0].gain == truth[0].gain * 0.9
 
 
 class TestObjective:
@@ -356,3 +535,64 @@ class TestNompExtract:
             assert min(abs(best.mu - t.mu), 1 - abs(best.mu - t.mu)) <= 1e-6 / cfg.N
             assert min(abs(best.nu - t.nu), 1 - abs(best.nu - t.nu)) <= 1e-6 / cfg.M
         assert res.residual_energy <= 1e-12 * cfg.size
+
+
+class TestBoundedPursuit:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_input_rejected(self, bad):
+        cfg = SystemConfig(M=8, N=16)
+        y = np.full(cfg.size, bad, dtype=complex)
+        with time_limit(5.0), pytest.raises(ValueError, match="NaN or infinite"):
+            nomp_extract(y, cfg, NompConfig())
+
+    def test_single_non_finite_entry_rejected(self):
+        cfg = SystemConfig(M=8, N=16)
+        y = make_noise(cfg, np.random.default_rng(0))
+        y[37] = np.nan
+        with time_limit(5.0), pytest.raises(ValueError):
+            nomp_extract(y, cfg, NompConfig())
+
+    def test_repeated_duplicate_detection_stalls(self, monkeypatch):
+        # every iteration re-detects the same cell and duplicate removal drops
+        # it again, so the path count never grows and the stopping rule never
+        # fires on the strong residual: only the iteration cap ends the loop
+        cfg = SystemConfig(M=4, N=8)
+        monkeypatch.setattr(nomp, "coarse_detect", lambda cfg, r, nc: (0.25, 0.5, 0.0))
+        y = 20.0 * make_noise(cfg, np.random.default_rng(1))
+        nc = NompConfig(single_refine_rounds=0, cyclic_refine_rounds=0, max_paths=3)
+        with time_limit(10.0):
+            res = nomp_extract(y, cfg, nc)
+        assert res.stop_reason == "stalled"
+        assert res.iterations == MAX_ITERATIONS_PER_PATH * 3
+        assert len(res.paths) == 1
+
+    @given(
+        M=st.integers(1, 4),
+        N=st.integers(1, 6),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_returns_or_rejects_in_bounded_time(self, M, N, data):
+        cfg = SystemConfig(M=M, N=N)
+        finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+        re = data.draw(st.lists(finite, min_size=cfg.size, max_size=cfg.size))
+        im = data.draw(st.lists(finite, min_size=cfg.size, max_size=cfg.size))
+        y = np.array(re) + 1j * np.array(im)
+        bad = data.draw(st.sets(st.integers(0, cfg.size - 1), max_size=2))
+        for i in bad:
+            y[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, complex(1.0, np.nan)]))
+        rule = data.draw(st.sampled_from([StoppingRule("power"), StoppingRule("false_alarm", p_fa=0.05)]))
+        nc = NompConfig(gamma1=2, gamma2=2, stopping=rule)
+        with time_limit(20.0):
+            if bad:
+                with pytest.raises(ValueError):
+                    nomp_extract(y, cfg, nc)
+                return
+            res = nomp_extract(y, cfg, nc)
+        max_paths = nc.resolve_max_paths(cfg)
+        assert res.stop_reason in ("criterion", "max_paths", "stalled")
+        assert res.iterations <= MAX_ITERATIONS_PER_PATH * max_paths
+        assert len(res.paths) <= max_paths
+        energy = float(np.vdot(y, y).real)
+        assert np.isfinite(res.residual_energy)
+        assert res.residual_energy <= energy * (1 + 1e-9) + 1e-9
