@@ -56,18 +56,10 @@ def lmmse_estimate(
     from `draws` channel draws (`covariance_draws` in a reconstruction run), so
     it is a sample covariance of rank at most `draws`, not the exact one.
     """
-    rows = pilot_row_indices(cfg, pattern)
-    if received_pilots.shape != rows.shape:
-        raise ValueError(f"expected {rows.size} pilot samples")
-    R_hp = genie_covariance[:, rows]
-    R_pp = genie_covariance[np.ix_(rows, rows)] + noise_variance * np.eye(rows.size)
-    try:
-        W = np.linalg.solve(R_pp, R_hp.conj().T).conj().T
-    except np.linalg.LinAlgError:
-        log.warning("singular pilot covariance; applying %.0e diagonal loading", COV_LOADING)
-        R_pp = R_pp + COV_LOADING * np.eye(rows.size)
-        W = np.linalg.solve(R_pp, R_hp.conj().T).conj().T
-    return W @ received_pilots
+    n_rows = pattern.count * cfg.M
+    if received_pilots.shape != (n_rows,):
+        raise ValueError(f"expected {n_rows} pilot samples")
+    return lmmse_filter(pattern, cfg, genie_covariance, noise_variance) @ received_pilots
 
 
 def lmmse_filter(

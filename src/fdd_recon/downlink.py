@@ -7,8 +7,8 @@ from typing import List, Literal, Sequence, Tuple
 
 import numpy as np
 
-from .config import PathComponent, SystemConfig
-from .model import steering_vector, synthesize_downlink
+from .config import PathComponent, SystemConfig, wrap_unit
+from .model import synthesize_downlink
 from .nomp import RankDeficientError
 
 BeamformingType = Literal["type1", "type2"]
@@ -37,12 +37,38 @@ class PilotPattern:
         return len(self.indices)
 
 
-def _steering_products(cfg: SystemConfig, angles: Sequence[float]) -> np.ndarray:
-    """Gram matrix B[l, j] = a^H(theta_l) a(theta_j)."""
-    A = np.column_stack(
-        [steering_vector(cfg, cfg.d_over_lambda * np.sin(th)) for th in angles]
-    )
-    return A.conj().T @ A
+def _pilot_operator(
+    cfg: SystemConfig,
+    pattern: PilotPattern,
+    paths: Sequence[Tuple[float, float]],
+    beam_angles: Sequence[float],
+    btype: BeamformingType,
+) -> np.ndarray:
+    """Pilots received from unit-gain (delay, angle) paths under beams toward
+    beam_angles: the row of pilot i and beam j holds, for path l,
+    exp(j*2*pi*(delta_F + n_i*delta_f)*tau_l) * a^H(theta_l) a(theta_hat_j).
+
+    Type 1 stacks one Np-row block per beam (Mp = Np*L); Type 2
+    frequency-multiplexes the beams onto the pilot subcarriers, beam i mod L
+    on pilot i (Mp = Np).
+    """
+    if not beam_angles:
+        raise EmptyEstimatesError("need at least one estimated direction to beamform")
+    delays = np.array([p[0] for p in paths], dtype=float)
+    n_i = np.array(pattern.indices)
+    phase = np.exp(2j * np.pi * np.outer(cfg.delta_F + n_i * cfg.delta_f, delays))
+
+    def steering(angles):  # M x L, column l equal to model.steering_vector bit for bit
+        nu = wrap_unit(cfg.d_over_lambda * np.sin(np.array(angles, dtype=float)))
+        return np.exp(2j * np.pi * cfg.antenna_indices[:, None] * nu)
+
+    bf = steering([p[1] for p in paths]).conj().T @ steering(beam_angles)  # bf[l, j]
+    if btype == "type1":
+        return np.vstack([phase * bf[:, j] for j in range(len(beam_angles))])
+    if btype == "type2":
+        beam = np.arange(pattern.count) % len(beam_angles)
+        return phase * bf[:, beam].T
+    raise ValueError(f"unknown beamforming type {btype!r}")
 
 
 def build_coefficient_matrix(
@@ -51,29 +77,10 @@ def build_coefficient_matrix(
     estimates: Sequence[Tuple[float, float]],
     btype: BeamformingType,
 ) -> np.ndarray:
-    """Pilot coefficient matrix mapping per-path gains to received pilots.
-
-    estimates are (delay, angle) pairs.  Type 1 stacks one Np-row block per
-    beamed direction (Mp = Np*L); Type 2 frequency-multiplexes the beams onto
-    the pilot subcarriers (Mp = Np).
-    """
-    if not estimates:
-        raise EmptyEstimatesError("need at least one (delay, angle) estimate")
-    delays = np.array([e[0] for e in estimates])
-    angles = [e[1] for e in estimates]
-    L = len(estimates)
-    n_i = np.array(pattern.indices)
-    # phase[i, l] = exp(j*2*pi*(delta_F + n_i*delta_f)*tau_l)
-    phase = np.exp(2j * np.pi * np.outer(cfg.delta_F + n_i * cfg.delta_f, delays))
-    B = _steering_products(cfg, angles)
-
-    if btype == "type1":
-        # entry (i, l) of block j: phase[i, l] * a^H(theta_l) a(theta_j) = phase[i, l] * B[l, j]
-        return np.vstack([phase * B[:, j][None, :] for j in range(L)])
-    if btype == "type2":
-        beam = np.arange(pattern.count) % L
-        return phase * B[:, beam].T
-    raise ValueError(f"unknown beamforming type {btype!r}")
+    """Pilot coefficient matrix mapping per-path gains to received pilots: the
+    estimated paths beamed at their own angles.  estimates are (delay, angle)
+    pairs."""
+    return _pilot_operator(cfg, pattern, estimates, [e[1] for e in estimates], btype)
 
 
 def simulate_downlink_pilots(
@@ -87,39 +94,9 @@ def simulate_downlink_pilots(
 ) -> np.ndarray:
     """Received downlink pilots: true paths beamed toward estimated directions,
     plus circular complex Gaussian noise."""
-    if not estimates:
-        raise EmptyEstimatesError("need at least one estimated direction to beamform")
-    L_hat = len(estimates)
-    beam_angles = [e[1] for e in estimates]
-    n_i = np.array(pattern.indices)
-
-    # C[i, l] = exp(j*2*pi*(delta_F + n_i*delta_f)*tau_l) for the TRUE delays
-    delays = np.array([p.delay for p in true_paths]) if true_paths else np.zeros(0)
-    gains = np.array([p.gain for p in true_paths]) if true_paths else np.zeros(0, dtype=complex)
-    phase = np.exp(2j * np.pi * np.outer(cfg.delta_F + n_i * cfg.delta_f, delays))
-
-    a_true = np.column_stack(
-        [steering_vector(cfg, cfg.d_over_lambda * np.sin(p.angle)) for p in true_paths]
-    ) if true_paths else np.zeros((cfg.M, 0), dtype=complex)
-    a_beam = np.column_stack(
-        [steering_vector(cfg, cfg.d_over_lambda * np.sin(th)) for th in beam_angles]
-    )
-    bf = a_true.conj().T @ a_beam  # bf[l, j] = a^H(theta_l) a(theta_hat_j)
-
-    if btype == "type1":
-        rows = []
-        for j in range(L_hat):
-            rows.append(phase @ (gains * bf[:, j]) if len(true_paths) else np.zeros(pattern.count, dtype=complex))
-        y = np.concatenate(rows)
-    elif btype == "type2":
-        if len(true_paths):
-            beam = np.arange(pattern.count) % L_hat
-            y = (phase * bf[:, beam].T) @ gains
-        else:
-            y = np.zeros(pattern.count, dtype=complex)
-    else:
-        raise ValueError(f"unknown beamforming type {btype!r}")
-
+    paths = [(p.delay, p.angle) for p in true_paths]
+    gains = np.array([p.gain for p in true_paths], dtype=complex)
+    y = _pilot_operator(cfg, pattern, paths, [e[1] for e in estimates], btype) @ gains
     if noise_variance > 0:
         rng = np.random.default_rng() if rng is None else rng
         scale = np.sqrt(noise_variance / 2.0)

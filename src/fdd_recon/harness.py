@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -222,6 +222,33 @@ def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
         return list(pool.map(fn, range(trials)))
 
 
+def _sweep(
+    points: Iterable[object],
+    trials: int,
+    seed: int,
+    threads: int,
+    trial: Callable[[object, np.random.Generator], object],
+) -> List[list]:
+    """results[s][t] = trial(point_s, rng) with rng from SeedSequence((seed, s, t)).
+
+    The points are taken one at a time, so set-up that a generator of points
+    does per point (an SNR's LMMSE filter) runs just before that point's trials.
+    """
+    return [
+        _map_trials(lambda t, s=s, point=point: trial(point, _trial_rng(seed, s, t)), trials, threads)
+        for s, point in enumerate(points)
+    ]
+
+
+def _db_curves(
+    names: Sequence[str], sweep: Sequence[Sequence[Dict[str, float]]]
+) -> Tuple[Dict[str, List[float]], Dict[str, List[List[float]]]]:
+    """Per name and point: dB of the mean linear value, and each trial's dB."""
+    curves = {n: [to_db(float(np.mean([r[n] for r in point]))) for point in sweep] for n in names}
+    per_trial = {n: [[to_db(r[n]) for r in point] for point in sweep] for n in names}
+    return curves, per_trial
+
+
 # ---------------------------------------------------------------------------
 # CRB attainment experiment
 
@@ -275,55 +302,46 @@ def run_crb_experiment(
     radius_mu = 0.5 / (nomp_cfg.gamma1 * cfg.N)
     radius_nu = 0.5 / (nomp_cfg.gamma2 * cfg.M)
 
-    eps_mu_db: List[float] = []
-    eps_nu_db: List[float] = []
-    per_trial_mu: List[List[float]] = []
-    per_trial_nu: List[List[float]] = []
-    missed_rates: List[float] = []
-    false_alarm_counts: List[int] = []
-    bound_mu = []
-    bound_nu = []
+    snr_list = [10.0 ** (snr_db / 10.0) for snr_db in snr_list_db]
+    bound_reports = [crb(cfg.M, cfg.N, snr) for snr in snr_list]
 
-    for s, snr_db in enumerate(snr_list_db):
-        snr = 10.0 ** (snr_db / 10.0)
-        report = crb(cfg.M, cfg.N, snr)
-        bound_mu.append(to_db(report.eps_mu_bound))
-        bound_nu.append(to_db(report.eps_nu_bound))
+    def trial(snr: float, rng: np.random.Generator):
+        paths = generate_scenario(cfg, scenario, rng, total_power=snr * scenario.count)
+        truth = [normalize_path(cfg, p) for p in paths]
+        y = add_noise(synthesize_uplink(cfg, paths), 1.0, rng)
+        res = nomp_extract(y, cfg, nomp_cfg)
+        matches = match_paths(truth, res.paths, radius_mu, radius_nu)
+        sq_mu = [(wrapped_dist(truth[i].mu, res.paths[j].mu)) ** 2 for i, j in matches]
+        sq_nu = [(wrapped_dist(truth[i].nu, res.paths[j].nu)) ** 2 for i, j in matches]
+        missed = len(truth) - len(matches)
+        fakes = len(res.paths) - len(matches)
+        return sq_mu, sq_nu, missed, fakes
 
-        def one_trial(t: int, s=s, snr=snr):
-            rng = _trial_rng(seed, s, t)
-            paths = generate_scenario(cfg, scenario, rng, total_power=snr * scenario.count)
-            truth = [normalize_path(cfg, p) for p in paths]
-            y = add_noise(synthesize_uplink(cfg, paths), 1.0, rng)
-            res = nomp_extract(y, cfg, nomp_cfg)
-            matches = match_paths(truth, res.paths, radius_mu, radius_nu)
-            sq_mu = [(wrapped_dist(truth[i].mu, res.paths[j].mu)) ** 2 for i, j in matches]
-            sq_nu = [(wrapped_dist(truth[i].nu, res.paths[j].nu)) ** 2 for i, j in matches]
-            missed = len(truth) - len(matches)
-            fakes = len(res.paths) - len(matches)
-            return sq_mu, sq_nu, missed, fakes
+    sweep = _sweep(snr_list, trials, seed, threads, trial)
 
-        results = _map_trials(one_trial, trials, threads)
-        all_mu = np.concatenate([np.array(r[0]) for r in results]) if results else np.zeros(0)
-        all_nu = np.concatenate([np.array(r[1]) for r in results]) if results else np.zeros(0)
-        total_missed = sum(r[2] for r in results)
-        missed_rates.append(total_missed / (trials * scenario.count))
-        false_alarm_counts.append(sum(r[3] for r in results))
+    def eps_db(squares: Sequence[float], size: int) -> float:
+        return to_db(float(np.mean(squares)) * size**2)
 
-        eps_mu_db.append(to_db(float(np.mean(all_mu)) * cfg.N**2))
-        eps_nu_db.append(to_db(float(np.mean(all_nu)) * cfg.M**2))
-        per_trial_mu.append([to_db(float(np.mean(r[0])) * cfg.N**2) for r in results if r[0]])
-        per_trial_nu.append([to_db(float(np.mean(r[1])) * cfg.M**2) for r in results if r[1]])
-
+    curves: Dict[str, List[float]] = {}
+    per_trial: Dict[str, List[List[float]]] = {}
+    for k, (name, size) in enumerate((("eps_mu_db", cfg.N), ("eps_nu_db", cfg.M))):
+        curves[name] = [eps_db([sq for r in point for sq in r[k]], size) for point in sweep]
+        per_trial[name] = [[eps_db(r[k], size) for r in point if r[k]] for point in sweep]
     return ExperimentReport(
         experiment="crb",
         seed=seed,
         trials=trials,
         snr_db=list(snr_list_db),
-        curves={"eps_mu_db": eps_mu_db, "eps_nu_db": eps_nu_db},
-        per_trial_db={"eps_mu_db": per_trial_mu, "eps_nu_db": per_trial_nu},
-        bounds={"bound_mu_db": bound_mu, "bound_nu_db": bound_nu},
-        extras={"missed_rate": missed_rates, "false_alarms": false_alarm_counts},
+        curves=curves,
+        per_trial_db=per_trial,
+        bounds={
+            "bound_mu_db": [to_db(r.eps_mu_bound) for r in bound_reports],
+            "bound_nu_db": [to_db(r.eps_nu_bound) for r in bound_reports],
+        },
+        extras={
+            "missed_rate": [sum(r[2] for r in point) / (trials * scenario.count) for point in sweep],
+            "false_alarms": [sum(r[3] for r in point) for point in sweep],
+        },
         wall_clock_s=time.perf_counter() - t0,
     )
 
@@ -343,23 +361,14 @@ def run_false_alarm_experiment(
     """Empirical fake-detection rate of the false-alarm stopping rule on pure
     unit-variance noise."""
     t0 = time.perf_counter()
-    nomp_cfg = nomp_cfg or NompConfig(gamma1=2, gamma2=2)
-    nomp_cfg = NompConfig(
-        gamma1=nomp_cfg.gamma1,
-        gamma2=nomp_cfg.gamma2,
-        single_refine_rounds=nomp_cfg.single_refine_rounds,
-        cyclic_refine_rounds=nomp_cfg.cyclic_refine_rounds,
-        max_paths=nomp_cfg.max_paths,
-        stopping=StoppingRule("false_alarm", p_fa=p_fa),
-    )
+    rule = StoppingRule("false_alarm", p_fa=p_fa)
+    nomp_cfg = replace(nomp_cfg or NompConfig(gamma1=2, gamma2=2), stopping=rule)
 
-    def one_trial(t: int):
-        rng = _trial_rng(seed, 0, t)
+    def trial(_, rng: np.random.Generator) -> int:
         noise = add_noise(np.zeros(cfg.size, dtype=complex), 1.0, rng)
-        res = nomp_extract(noise, cfg, nomp_cfg)
-        return 1 if res.paths else 0
+        return 1 if nomp_extract(noise, cfg, nomp_cfg).paths else 0
 
-    fakes = sum(_map_trials(one_trial, trials, threads))
+    fakes = sum(_sweep([None], trials, seed, threads, trial)[0])
     rate = fakes / trials
     return ExperimentReport(
         experiment="false-alarm",
@@ -388,9 +397,8 @@ def phase_error_law(g: complex, tau: float, delta_tau: float, delta_F: float) ->
     argument of the inferred/true channel ratio at offset delta_F).
     """
     tau_hat = tau + delta_tau
-    h_ref = g  # true channel at the reference frequency
-    g_hat = h_ref * np.exp(-2j * np.pi * 0.0 * tau_hat)  # LS fit on the reference sample
-    inband_err = abs(g_hat * np.exp(2j * np.pi * 0.0 * tau_hat) - h_ref)
+    g_hat = g  # LS fit on the reference sample, where every delay's phase is 1
+    inband_err = abs(g_hat - g)
     h_true = g * np.exp(2j * np.pi * delta_F * tau)
     h_inferred = g_hat * np.exp(2j * np.pi * delta_F * tau_hat)
     ratio_arg = float(np.angle(h_inferred / h_true))
@@ -409,13 +417,10 @@ def run_phase_error_experiment(
     reconstruction versus direct out-of-band inference under an injected delay
     error with delta_F * delta_tau in the given range."""
     t0 = time.perf_counter()
-    snr = 10.0 ** (snr_db / 10.0)
     pattern = PilotPattern.from_config(cfg)
 
-    def one_trial(t: int):
-        rng = _trial_rng(seed, 0, t)
+    def trial(snr: float, rng: np.random.Generator) -> Dict[str, float]:
         path = generate_scenario(cfg, SparseTwoPath(), rng, total_power=snr)[0]
-        path = PathComponent(gain=path.gain, delay=path.delay, angle=path.angle)
         lo, hi = offset_delay_product_range
         delta_tau = rng.uniform(lo, hi) / cfg.delta_F * rng.choice([-1.0, 1.0])
         tau_hat = np.clip(path.delay + delta_tau, 0.0, (1.0 - 1e-12) / cfg.delta_f)
@@ -436,25 +441,21 @@ def run_phase_error_experiment(
         g_dl = refine_gains(A, y_dl)
         h_refined = reconstruct_downlink(cfg, g_dl, estimates)
 
-        return mse_linear(h_direct, h_dl, cfg.M), mse_linear(h_refined, h_dl, cfg.M)
+        return {
+            "direct_inference": mse_linear(h_direct, h_dl, cfg.M),
+            "refined_reconstruction": mse_linear(h_refined, h_dl, cfg.M),
+        }
 
-    results = _map_trials(one_trial, trials, threads)
-    direct = [r[0] for r in results]
-    refined = [r[1] for r in results]
-    wins = sum(1 for d, r in zip(direct, refined) if r < d)
+    sweep = _sweep([10.0 ** (snr_db / 10.0)], trials, seed, threads, trial)
+    curves, per_trial = _db_curves(["direct_inference", "refined_reconstruction"], sweep)
+    wins = sum(1 for r in sweep[0] if r["refined_reconstruction"] < r["direct_inference"])
     return ExperimentReport(
         experiment="phase-error",
         seed=seed,
         trials=trials,
         snr_db=[snr_db],
-        curves={
-            "direct_inference": [to_db(float(np.mean(direct)))],
-            "refined_reconstruction": [to_db(float(np.mean(refined)))],
-        },
-        per_trial_db={
-            "direct_inference": [[to_db(v) for v in direct]],
-            "refined_reconstruction": [[to_db(v) for v in refined]],
-        },
+        curves=curves,
+        per_trial_db=per_trial,
         extras={"refined_win_fraction": wins / trials},
         wall_clock_s=time.perf_counter() - t0,
     )
@@ -505,62 +506,45 @@ def run_reconstruction_experiment(
     rows = pilot_row_indices(cfg, baseline_pattern)
 
     names = ["ls", "lmmse", "uplink_recon", "downlink_recon", "direct_inference"]
-    curves: Dict[str, List[float]] = {n: [] for n in names}
-    per_trial: Dict[str, List[List[float]]] = {n: [] for n in names}
-    flagged_per_snr: List[int] = []
 
-    for s, snr_db in enumerate(snr_list_db):
-        snr = 10.0 ** (snr_db / 10.0)
-        W = lmmse_filter(baseline_pattern, cfg, snr * base_cov, noise_variance=1.0)
+    def trial(point: Tuple[float, np.ndarray], rng: np.random.Generator) -> Dict[str, float]:
+        snr, W = point
+        paths = generate_scenario(cfg, scenario, rng, total_power=snr)
+        h_ul = synthesize_uplink(cfg, paths)
+        h_dl = synthesize_downlink(cfg, paths)
+        detected = nomp_extract(add_noise(h_ul, 1.0, rng), cfg, nomp_cfg).paths
+        dl_paths = [denormalize_path(cfg, p) for p in detected]
+        estimates = [(p.delay, p.angle) for p in dl_paths]
 
-        def one_trial(t: int, s=s, snr=snr, W=W):
-            rng = _trial_rng(seed, s, t)
-            paths = generate_scenario(cfg, scenario, rng, total_power=snr)
-            h_ul = synthesize_uplink(cfg, paths)
-            h_dl = synthesize_downlink(cfg, paths)
+        out: Dict[str, float] = {
+            "uplink_recon": mse_linear(synthesize_from_normalized(cfg, detected), h_ul, cfg.M),
+            "direct_inference": mse_linear(synthesize_downlink(cfg, dl_paths), h_dl, cfg.M),
+            # without estimates, or when flagged, the reconstruction is zero
+            "downlink_recon": mse_linear(np.zeros_like(h_dl), h_dl, cfg.M),
+            "flagged": 0,
+        }
+        if estimates:
+            try:
+                y_dl = simulate_downlink_pilots(cfg, paths, estimates, btype, refine_pattern, 1.0, rng)
+                A = build_coefficient_matrix(cfg, refine_pattern, estimates, btype)
+                h_rec = reconstruct_downlink(cfg, refine_gains(A, y_dl), estimates)
+                out["downlink_recon"] = mse_linear(h_rec, h_dl, cfg.M)
+            except RankDeficientError:
+                out["flagged"] = 1
 
-            y_ul = add_noise(h_ul, 1.0, rng)
-            res = nomp_extract(y_ul, cfg, nomp_cfg)
-            detected = res.paths
-            estimates = [
-                (denormalize_path(cfg, p).delay, denormalize_path(cfg, p).angle) for p in detected
-            ]
+        y_p = add_noise(h_dl[rows], 1.0, rng)
+        out["ls"] = mse_linear(ls_estimate(y_p, baseline_pattern, cfg), h_dl, cfg.M)
+        out["lmmse"] = mse_linear(W @ y_p, h_dl, cfg.M)
+        return out
 
-            out: Dict[str, float] = {}
-            flagged = 0
-            out["uplink_recon"] = mse_linear(synthesize_from_normalized(cfg, detected), h_ul, cfg.M)
-
-            if detected:
-                dl_paths = [denormalize_path(cfg, p) for p in detected]
-                out["direct_inference"] = mse_linear(synthesize_downlink(cfg, dl_paths), h_dl, cfg.M)
-                try:
-                    y_dl = simulate_downlink_pilots(
-                        cfg, paths, estimates, btype, refine_pattern, 1.0, rng
-                    )
-                    A = build_coefficient_matrix(cfg, refine_pattern, estimates, btype)
-                    g_dl = refine_gains(A, y_dl)
-                    h_rec = reconstruct_downlink(cfg, g_dl, estimates)
-                    out["downlink_recon"] = mse_linear(h_rec, h_dl, cfg.M)
-                except RankDeficientError:
-                    flagged = 1
-                    out["downlink_recon"] = mse_linear(np.zeros_like(h_dl), h_dl, cfg.M)
-            else:
-                zero = np.zeros_like(h_dl)
-                out["direct_inference"] = mse_linear(zero, h_dl, cfg.M)
-                out["downlink_recon"] = mse_linear(zero, h_dl, cfg.M)
-
-            y_p = add_noise(h_dl[rows], 1.0, rng)
-            out["ls"] = mse_linear(ls_estimate(y_p, baseline_pattern, cfg), h_dl, cfg.M)
-            out["lmmse"] = mse_linear(W @ y_p, h_dl, cfg.M)
-            return out, flagged
-
-        results = _map_trials(one_trial, trials, threads)
-        flagged_per_snr.append(sum(r[1] for r in results))
-        for n in names:
-            vals = [r[0][n] for r in results]
-            curves[n].append(to_db(float(np.mean(vals))))
-            per_trial[n].append([to_db(v) for v in vals])
-
+    # a generator, so each SNR's LMMSE filter is built just before its trials
+    points = (
+        (snr, lmmse_filter(baseline_pattern, cfg, snr * base_cov, noise_variance=1.0))
+        for snr in (10.0 ** (snr_db / 10.0) for snr_db in snr_list_db)
+    )
+    sweep = _sweep(points, trials, seed, threads, trial)
+    curves, per_trial = _db_curves(names, sweep)
+    flagged_per_snr = [sum(r["flagged"] for r in point) for point in sweep]
     return ExperimentReport(
         experiment="reconstruction",
         seed=seed,

@@ -6,6 +6,7 @@
 # the estimator.
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,15 +59,7 @@ def synthesize_downlink(cfg: SystemConfig, paths: Sequence[PathComponent]) -> np
 
 def synthesize_siso(cfg: SystemConfig, paths: Sequence[PathComponent]) -> np.ndarray:
     """Single-antenna special case: length-N vector of delay ramps only."""
-    siso_cfg = SystemConfig(
-        M=1,
-        N=cfg.N,
-        delta_f=cfg.delta_f,
-        delta_F=cfg.delta_F,
-        d_over_lambda=cfg.d_over_lambda,
-        K=cfg.K,
-    )
-    return synthesize_uplink(siso_cfg, paths)
+    return synthesize_uplink(replace(cfg, M=1), paths)
 
 
 def as_grid(cfg: SystemConfig, vec: np.ndarray) -> np.ndarray:

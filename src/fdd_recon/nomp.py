@@ -141,16 +141,26 @@ def newton_refine(
     when it does not reduce the objective; otherwise the inputs are returned
     with applied=False.  After an accepted step the gain is re-fit by LS.  The
     residual is stacked or an N x M grid.
+
+    One antenna (subcarrier) carries no angle (delay) information and zeroes
+    that row of the Hessian, so there the step is on mu (nu) alone, guarded by
+    its own second derivative being negative.
     """
     grid = as_grid(cfg, residual)
     q = _moments(cfg, grid, mu, nu)
     grad, hess = _grad_hess_from_moments(q, g)
-    det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
-    if not (det > 0.0 and hess[0, 0] < 0.0):
-        return g, mu, nu, False
-
-    step_mu = (hess[1, 1] * grad[0] - hess[0, 1] * grad[1]) / det
-    step_nu = (hess[0, 0] * grad[1] - hess[1, 0] * grad[0]) / det
+    if cfg.M > 1 and cfg.N > 1:
+        det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
+        if not (det > 0.0 and hess[0, 0] < 0.0):
+            return g, mu, nu, False
+        step_mu = (hess[1, 1] * grad[0] - hess[0, 1] * grad[1]) / det
+        step_nu = (hess[0, 0] * grad[1] - hess[1, 0] * grad[0]) / det
+    else:
+        k = int(cfg.N == 1)  # with M = N = 1, hess[1, 1] == 0 rejects
+        if not hess[k, k] < 0.0:
+            return g, mu, nu, False
+        step = grad[k] / hess[k, k]
+        step_mu, step_nu = (0.0, step) if k else (step, 0.0)
     mu_new = float(wrap_unit(mu - step_mu))
     nu_new = float(wrap_unit(nu - step_nu))
     g_new = ls_gain_single(cfg, grid, mu_new, nu_new)
@@ -241,33 +251,35 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
     iterations = 0
     stop_reason: Literal["criterion", "max_paths", "stalled"] = "max_paths"
 
-    while True:
-        if _stopping_fires(cfg, residual, nomp_cfg.stopping):
-            stop_reason = "criterion"
-            break
-        if len(paths) >= max_paths:
-            stop_reason = "max_paths"
-            break
-        if iterations >= MAX_ITERATIONS_PER_PATH * max_paths:
-            stop_reason = "stalled"
-            break
+    # a finite y so large that the pursuit's sums overflow raises FloatingPointError
+    with np.errstate(over="raise", invalid="raise"):
+        while True:
+            if _stopping_fires(cfg, residual, nomp_cfg.stopping):
+                stop_reason = "criterion"
+                break
+            if len(paths) >= max_paths:
+                stop_reason = "max_paths"
+                break
+            if iterations >= MAX_ITERATIONS_PER_PATH * max_paths:
+                stop_reason = "stalled"
+                break
 
-        mu, nu, _ = coarse_detect(cfg, residual, nomp_cfg)
-        g = ls_gain_single(cfg, residual, mu, nu)
-        for _ in range(nomp_cfg.single_refine_rounds):
-            g, mu, nu, _ = newton_refine(cfg, residual, g, mu, nu)
-        paths.append(NormalizedPath(g, mu, nu))
+            mu, nu, _ = coarse_detect(cfg, residual, nomp_cfg)
+            g = ls_gain_single(cfg, residual, mu, nu)
+            for _ in range(nomp_cfg.single_refine_rounds):
+                g, mu, nu, _ = newton_refine(cfg, residual, g, mu, nu)
+            paths.append(NormalizedPath(g, mu, nu))
 
-        if nomp_cfg.cyclic_refine_rounds > 0:
-            paths = cyclic_refine(cfg, y, paths, nomp_cfg.cyclic_refine_rounds)
-        try:
-            paths = update_all_gains(cfg, y, paths)
-        except RankDeficientError as err:
-            keep = set(range(len(paths))) - {j for _, j in err.duplicates}
-            paths = [paths[i] for i in sorted(keep)]
-            paths = update_all_gains(cfg, y, paths)
-        residual = y - synthesize_from_normalized(cfg, paths)
-        iterations += 1
+            if nomp_cfg.cyclic_refine_rounds > 0:
+                paths = cyclic_refine(cfg, y, paths, nomp_cfg.cyclic_refine_rounds)
+            try:
+                paths = update_all_gains(cfg, y, paths)
+            except RankDeficientError as err:
+                keep = set(range(len(paths))) - {j for _, j in err.duplicates}
+                paths = [paths[i] for i in sorted(keep)]
+                paths = update_all_gains(cfg, y, paths)
+            residual = y - synthesize_from_normalized(cfg, paths)
+            iterations += 1
 
-    energy = float(np.vdot(residual, residual).real)
+        energy = float(np.vdot(residual, residual).real)
     return NompResult(paths=paths, residual_energy=energy, iterations=iterations, stop_reason=stop_reason)

@@ -103,6 +103,48 @@ class TestSimulatePilots:
         np.testing.assert_allclose(y1, y2, rtol=1e-12)
 
 
+def triple_loop_pilots(cfg, pattern, true_paths, estimates, btype):
+    """y[(j, i)] = sum_l g_l exp(j*2*pi*(delta_F + n_i*delta_f)*tau_l) a^H(theta_l) a(theta_hat_j),
+    with beam j on every pilot i (type 1, j-major) or on pilot i = j mod L (type 2)."""
+    m = np.arange(cfg.M) - cfg.M // 2
+
+    def steer(theta):
+        return np.exp(2j * np.pi * m * cfg.d_over_lambda * np.sin(theta))
+
+    L = len(estimates)
+    rows = (
+        [(j, n) for j in range(L) for n in pattern.indices]
+        if btype == "type1"
+        else [(i % L, n) for i, n in enumerate(pattern.indices)]
+    )
+    y = np.zeros(len(rows), dtype=complex)
+    for r, (j, n) in enumerate(rows):
+        for p in true_paths:
+            phase = np.exp(2j * np.pi * (cfg.delta_F + n * cfg.delta_f) * p.delay)
+            y[r] += p.gain * phase * np.vdot(steer(p.angle), steer(estimates[j][1]))
+    return y
+
+
+class TestPilotOperatorReference:
+    @pytest.mark.parametrize("btype", ["type1", "type2"])
+    @pytest.mark.parametrize("n_true", [0, 1, 3])
+    def test_simulator_matches_triple_loop(self, btype, n_true):
+        cfg = make_cfg(M=5, N=32, K=2)
+        pat = PilotPattern.from_config(cfg)
+        rng = np.random.default_rng(n_true)
+        true_paths = [
+            PathComponent(complex(rng.standard_normal(), rng.standard_normal()),
+                          float(rng.uniform(0, 1 / cfg.delta_f)), float(rng.uniform(-1.4, 1.4)))
+            for _ in range(n_true)
+        ]
+        # estimates that differ from the truth in number, delay and angle
+        estimates = [(float(rng.uniform(0, 1 / cfg.delta_f)), float(rng.uniform(-1.4, 1.4))) for _ in range(2)]
+        y = simulate_downlink_pilots(cfg, true_paths, estimates, btype, pat, 0.0)
+        ref = triple_loop_pilots(cfg, pat, true_paths, estimates, btype)
+        assert y.shape == ref.shape == ((2 if btype == "type1" else 1) * pat.count,)
+        np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-10 * cfg.M)
+
+
 class TestRefineGains:
     def test_noiseless_consistent_system(self):
         cfg = make_cfg()

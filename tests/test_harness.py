@@ -26,7 +26,7 @@ from fdd_recon import (
     run_reconstruction_experiment,
 )
 from fdd_recon.config import NormalizedPath, normalize_path, wrapped_dist
-from fdd_recon.harness import DimensionMismatchError, mse_linear
+from fdd_recon.harness import DimensionMismatchError, _sweep, mse_linear
 
 
 def cfg_mn(M, N, **kw):
@@ -183,10 +183,31 @@ class TestPhaseErrorLaw:
 
 
 class TestExperiments:
+    def test_sweep_takes_points_in_turn_and_seeds_each_trial(self):
+        events = []
+
+        def points():
+            for s in range(2):
+                events.append(("set-up", s))
+                yield s
+
+        def trial(point, rng):
+            events.append(("trial", point))
+            return int(rng.integers(1 << 62))
+
+        out = _sweep(points(), 3, 7, 1, trial)
+        expected = [
+            [int(np.random.default_rng(np.random.SeedSequence((7, s, t))).integers(1 << 62)) for t in range(3)]
+            for s in range(2)
+        ]
+        assert out == expected
+        assert _sweep(range(2), 3, 7, 3, trial) == expected
+        assert events[:8] == [("set-up", 0)] + [("trial", 0)] * 3 + [("set-up", 1)] + [("trial", 1)] * 3
+
     def test_crb_experiment_shape_and_determinism(self):
         cfg = cfg_mn(4, 16)
         kw = dict(
-            snr_list_db=[20.0],
+            snr_list_db=[20.0, 10.0],
             trials=8,
             seed=5,
             scenario=EqualPowerGrid(count=2),
@@ -196,9 +217,12 @@ class TestExperiments:
         assert isinstance(a, ExperimentReport)
         assert a.curves == b.curves
         assert a.per_trial_db == b.per_trial_db
-        assert a.extras["missed_rate"] == b.extras["missed_rate"]
-        assert len(a.curves["eps_mu_db"]) == 1
-        assert len(a.bounds["bound_mu_db"]) == 1
+        assert a.extras == b.extras
+        assert a.bounds == b.bounds
+        assert len(a.curves["eps_mu_db"]) == 2
+        assert len(a.bounds["bound_mu_db"]) == 2
+        # each sweep point draws its own trials
+        assert a.per_trial_db["eps_mu_db"][0] != a.per_trial_db["eps_mu_db"][1]
 
     def test_false_alarm_experiment_deterministic(self):
         cfg = cfg_mn(4, 16)
@@ -206,6 +230,15 @@ class TestExperiments:
         b = run_false_alarm_experiment(cfg, p_fa=0.1, trials=40, seed=2, threads=3)
         assert a.extras["empirical_rate"] == b.extras["empirical_rate"]
         assert 0.0 <= a.extras["empirical_rate"] <= 1.0
+
+    def test_phase_error_experiment_deterministic(self):
+        cfg = SystemConfig(M=2, N=32, delta_F=300e6, K=4)
+        a = run_phase_error_experiment(cfg, trials=12, seed=4)
+        b = run_phase_error_experiment(cfg, trials=12, seed=4, threads=3)
+        assert a.curves == b.curves
+        assert a.per_trial_db == b.per_trial_db
+        assert a.extras == b.extras
+        assert len(a.per_trial_db["refined_reconstruction"][0]) == 12
 
     def test_phase_error_experiment_refined_wins(self):
         cfg = SystemConfig(M=2, N=32, delta_F=300e6, K=4)
@@ -219,7 +252,7 @@ class TestExperiments:
             scenario=SparseTwoPath(),
             btype="type1",
             K=4,
-            snr_list_db=[10.0],
+            snr_list_db=[10.0, 20.0],
             trials=6,
             seed=3,
             covariance_draws=50,
@@ -227,9 +260,11 @@ class TestExperiments:
         a = run_reconstruction_experiment(cfg, **kw)
         b = run_reconstruction_experiment(cfg, **kw, threads=4)
         assert a.curves == b.curves
+        assert a.per_trial_db == b.per_trial_db
+        assert a.extras == b.extras
         for name in ("ls", "lmmse", "uplink_recon", "downlink_recon", "direct_inference"):
-            assert len(a.curves[name]) == 1
-            assert len(a.per_trial_db[name][0]) == 6
+            assert len(a.curves[name]) == 2
+            assert [len(p) for p in a.per_trial_db[name]] == [6, 6]
 
     def test_cdf_accessor(self):
         cfg = cfg_mn(4, 16)

@@ -89,10 +89,14 @@ def dense_grad_hess(cfg, r, g, mu, nu):
 
 def dense_newton(cfg, r, g, mu, nu):
     grad, hess = dense_grad_hess(cfg, r, g, mu, nu)
-    det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
-    if not (det > 0.0 and hess[0, 0] < 0.0):
+    # a single subcarrier (antenna) carries no delay (angle) information, so
+    # the step is taken on the remaining coordinates only, where S is concave
+    axes = [k for k, size in enumerate((cfg.N, cfg.M)) if size > 1]
+    sub = hess[np.ix_(axes, axes)]
+    if not axes or np.linalg.eigvalsh(sub).max() >= 0.0:
         return g, mu, nu, False
-    step = np.linalg.solve(hess, grad)
+    step = np.zeros(2)
+    step[axes] = np.linalg.solve(sub, grad[axes])
     mu_new, nu_new = float(wrap_unit(mu - step[0])), float(wrap_unit(nu - step[1]))
     g_new = complex(np.vdot(dense_atom(cfg, mu_new, nu_new), r) / cfg.size)
     if dense_objective(cfg, r, g_new, mu_new, nu_new) < dense_objective(cfg, r, g, mu, nu):
@@ -156,7 +160,7 @@ class TestDenseOracle:
         np.testing.assert_array_equal(grid_grad, grad)
         np.testing.assert_array_equal(grid_hess, hess)
 
-    @pytest.mark.parametrize("M,N", ORACLE_SIZES)
+    @pytest.mark.parametrize("M,N", ORACLE_SIZES + [(4, 1), (5, 1), (1, 1)])
     @pytest.mark.parametrize("seed", range(3))
     def test_newton_refine_values_and_flag(self, M, N, seed):
         cfg = SystemConfig(M=M, N=N)
@@ -164,8 +168,9 @@ class TestDenseOracle:
         *got, applied = newton_refine(cfg, r, g, mu, nu)
         *ref, applied_ref = dense_newton(cfg, r, g, mu, nu)
         assert applied == applied_ref
-        # a single antenna carries no angle information: the Hessian is singular
-        assert applied == (M > 1)
+        # near a path the step is taken, on one coordinate alone when the other
+        # axis has a single index, and not at all when both have
+        assert applied == (M * N > 1)
         assert_same_path(got, ref)
 
     @pytest.mark.parametrize("M,N", ORACLE_SIZES)
@@ -347,6 +352,18 @@ class TestNewtonRefine:
             accepted += 1
         assert abs(mu - truth.mu) <= 1e-8 / cfg.N
         assert abs(nu - truth.nu) <= 1e-8 / cfg.M
+
+    def test_single_antenna_recovers_mu(self):
+        # one antenna: the Hessian's nu row is zero, the step is on mu alone
+        cfg = SystemConfig(M=1, N=64)
+        truth = NormalizedPath(1.5 - 0.5j, 0.1234, 0.0)
+        y = synthesize_from_normalized(cfg, [truth])
+        g, mu, nu, ok = newton_refine(cfg, y, ls_gain_single(cfg, y, 0.125, 0.0), 0.125, 0.0)
+        assert ok and nu == 0.0
+        assert abs(mu - truth.mu) < abs(0.125 - truth.mu)
+        res = nomp_extract(y, cfg, NompConfig())
+        assert len(res.paths) == 1
+        assert abs(res.paths[0].mu - truth.mu) <= 1e-6
 
     def test_guard_rejects_indefinite_hessian(self):
         cfg = SystemConfig(M=4, N=8)
@@ -566,6 +583,13 @@ class TestBoundedPursuit:
         assert res.iterations == MAX_ITERATIONS_PER_PATH * 3
         assert len(res.paths) == 1
 
+    @pytest.mark.parametrize("magnitude", [1e150, 1e300])
+    def test_overflow_raises_typed_error(self, magnitude):
+        # finite but so large that the pursuit's sums overflow
+        cfg = SystemConfig(M=3, N=4)
+        with time_limit(5.0), pytest.raises(FloatingPointError):
+            nomp_extract(np.full(cfg.size, magnitude, dtype=complex), cfg, NompConfig())
+
     @given(
         M=st.integers(1, 4),
         N=st.integers(1, 6),
@@ -574,7 +598,7 @@ class TestBoundedPursuit:
     @settings(max_examples=60, deadline=None)
     def test_returns_or_rejects_in_bounded_time(self, M, N, data):
         cfg = SystemConfig(M=M, N=N)
-        finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+        finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
         re = data.draw(st.lists(finite, min_size=cfg.size, max_size=cfg.size))
         im = data.draw(st.lists(finite, min_size=cfg.size, max_size=cfg.size))
         y = np.array(re) + 1j * np.array(im)
@@ -588,7 +612,10 @@ class TestBoundedPursuit:
                 with pytest.raises(ValueError):
                     nomp_extract(y, cfg, nc)
                 return
-            res = nomp_extract(y, cfg, nc)
+            try:
+                res = nomp_extract(y, cfg, nc)
+            except FloatingPointError:
+                return  # overflow on a huge input is a typed error, not output
         max_paths = nc.resolve_max_paths(cfg)
         assert res.stop_reason in ("criterion", "max_paths", "stalled")
         assert res.iterations <= MAX_ITERATIONS_PER_PATH * max_paths
