@@ -190,7 +190,6 @@ ALLOWED_TOP = {
     "p_fa",
     "beamforming",
     "K",
-    "covariance_draws",
     "output",
 }
 
@@ -205,6 +204,8 @@ def run_from_config(config: Dict[str, Any], out_dir: Path, threads: int) -> Expe
     cfg = _parse_system(config["system"])
     nomp_cfg = _parse_nomp(dict(config["nomp"])) if "nomp" in config else None
     trials = int(config.get("trials", 100))
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     seed = int(config.get("seed", 0))
     snr_db = list(config.get("snr_db", [10.0]))
 
@@ -240,7 +241,6 @@ def run_from_config(config: Dict[str, Any], out_dir: Path, threads: int) -> Expe
             trials,
             seed=seed,
             nomp_cfg=nomp_cfg,
-            covariance_draws=int(config.get("covariance_draws", 400)),
             threads=threads,
         )
     _write_outputs(report, config, out_dir)

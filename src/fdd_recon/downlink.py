@@ -8,7 +8,7 @@ from typing import List, Literal, Sequence, Tuple
 import numpy as np
 
 from .config import PathComponent, SystemConfig, wrap_unit
-from .model import synthesize_downlink
+from .model import add_noise, synthesize_downlink
 from .nomp import RankDeficientError
 
 BeamformingType = Literal["type1", "type2"]
@@ -93,15 +93,12 @@ def simulate_downlink_pilots(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Received downlink pilots: true paths beamed toward estimated directions,
-    plus circular complex Gaussian noise."""
+    plus circular complex Gaussian noise drawn from rng (required when
+    noise_variance > 0)."""
     paths = [(p.delay, p.angle) for p in true_paths]
     gains = np.array([p.gain for p in true_paths], dtype=complex)
     y = _pilot_operator(cfg, pattern, paths, [e[1] for e in estimates], btype) @ gains
-    if noise_variance > 0:
-        rng = np.random.default_rng() if rng is None else rng
-        scale = np.sqrt(noise_variance / 2.0)
-        y = y + scale * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    return y
+    return add_noise(y, noise_variance, rng)
 
 
 def refine_gains(A: np.ndarray, y_dl: np.ndarray) -> np.ndarray:

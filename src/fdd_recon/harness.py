@@ -11,7 +11,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .baselines import lmmse_filter, ls_estimate, pilot_row_indices
+from .baselines import KroneckerCovariance, lmmse_filter, ls_estimate, pilot_row_indices
 from .bounds import crb
 from .config import NormalizedPath, PathComponent, SystemConfig, denormalize_path, normalize_path, wrapped_dist
 from .downlink import (
@@ -22,13 +22,10 @@ from .downlink import (
     reconstruct_downlink,
     simulate_downlink_pilots,
 )
-from .model import synthesize_downlink, synthesize_from_normalized, synthesize_uplink
+from .model import add_noise, synthesize_downlink, synthesize_from_normalized, synthesize_uplink
 from .nomp import NompConfig, StoppingRule, nomp_extract
 
 MSE_FLOOR_DB = -120.0
-
-# Distinct stream tags so covariance draws never collide with trial draws.
-_COV_STREAM = 0xC0F
 
 
 class InfeasibleSeparationError(ValueError):
@@ -151,16 +148,6 @@ def generate_scenario(
     ]
 
 
-def add_noise(vector: np.ndarray, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Add i.i.d. circular complex Gaussian noise (variance per complex element)."""
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
-    if variance == 0:
-        return vector
-    scale = np.sqrt(variance / 2.0)
-    return vector + scale * (rng.standard_normal(vector.shape) + 1j * rng.standard_normal(vector.shape))
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -234,6 +221,8 @@ def _sweep(
     The points are taken one at a time, so set-up that a generator of points
     does per point (an SNR's LMMSE filter) runs just before that point's trials.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     return [
         _map_trials(lambda t, s=s, point=point: trial(point, _trial_rng(seed, s, t)), trials, threads)
         for s, point in enumerate(points)
@@ -465,22 +454,49 @@ def run_phase_error_experiment(
 # reconstruction experiment
 
 
-def genie_covariance(
-    cfg: SystemConfig,
-    scenario: ScenarioSpec,
-    seed: int,
-    draws: int = 400,
-    downlink: bool = True,
-) -> np.ndarray:
-    """Sample estimate of E[h h^H] for the (unit total power) stacked channel
-    under the scenario distribution, from `draws` draws (rank <= draws)."""
-    synth = synthesize_downlink if downlink else synthesize_uplink
-    H = np.empty((draws, cfg.size), dtype=complex)
-    for d in range(draws):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _COV_STREAM, d)))
-        H[d] = synth(cfg, generate_scenario(cfg, scenario, rng, total_power=1.0))
-    # entry (i, j) = E[h_i h_j^*]
-    return (H.T @ H.conj()) / draws
+def _uniform_cf(k: np.ndarray, width: float) -> np.ndarray:
+    """E[exp(j*2*pi*k*x)] for x uniform on [0, width]."""
+    return np.exp(1j * np.pi * k * width) * np.sinc(k * width)
+
+
+def _hermitian_toeplitz(c: np.ndarray) -> np.ndarray:
+    """Matrix with entry (i, i') = c[i - i'], and conj(c[i' - i]) above the diagonal."""
+    k = np.subtract.outer(np.arange(c.size), np.arange(c.size))
+    return np.where(k >= 0, c[np.abs(k)], c[np.abs(k)].conj())
+
+
+def genie_covariance(cfg: SystemConfig, scenario: ScenarioSpec) -> KroneckerCovariance:
+    """Exact E[h h^H] of the unit-power channel under the scenario's ensemble.
+
+    Every path has its own uniform random phase, so cross-path terms vanish and
+    the downlink offset phase cancels in each path's own outer product.  A
+    path's delay and angle are independent, so R = R_mu (x) R_nu, two Toeplitz
+    factors of the characteristic functions E[exp(j*2*pi*k*mu)] and
+    E[exp(j*2*pi*k*nu)] at integer lags k.
+    """
+    k_mu, k_nu, d = np.arange(cfg.N), np.arange(cfg.M), cfg.d_over_lambda
+    if isinstance(scenario, EqualPowerGrid):
+        # each path's (mu, nu) is uniform on the torus; denormalize_path clips
+        # nu in [-0.5, 0.5) to [-d, d], a point mass of 0.5 - d at either end
+        mu_cf = (k_mu == 0).astype(complex)
+        nu_cf = 2 * d * np.sinc(2 * d * k_nu) + (1 - 2 * d) * np.cos(2 * np.pi * d * k_nu)
+        return KroneckerCovariance(_hermitian_toeplitz(mu_cf), _hermitian_toeplitz(nu_cf))
+    # Gauss-Legendre on [-1, 1]; this many nodes is exact to round-off for d <= 1/2
+    t, w = np.polynomial.legendre.leggauss(4 * cfg.M + 32)
+    if isinstance(scenario, SparseTwoPath):
+        mu_cf = _uniform_cf(k_mu, scenario.delay_spread_fraction)
+        angles, weights = t * np.pi / 2, w / 2
+    elif isinstance(scenario, Cluster):
+        spread = scenario.delay_spread_cells / cfg.N
+        mu_cf = _uniform_cf(k_mu, 1.0 - spread) * _uniform_cf(k_mu, spread)
+        # angle = center uniform on +-(pi/2 - half) plus offset uniform on +-half
+        half = np.deg2rad(scenario.angular_spread_deg) / 2.0
+        angles = np.add.outer(t * (np.pi / 2 - half), t * half).ravel()
+        weights = np.outer(w, w).ravel() / 4
+    else:
+        raise TypeError(f"no closed-form covariance for scenario {scenario!r}")
+    nu_cf = np.exp(2j * np.pi * d * np.outer(k_nu, np.sin(angles))) @ weights
+    return KroneckerCovariance(_hermitian_toeplitz(mu_cf), _hermitian_toeplitz(nu_cf))
 
 
 def run_reconstruction_experiment(
@@ -492,7 +508,6 @@ def run_reconstruction_experiment(
     trials: int,
     seed: int = 0,
     nomp_cfg: NompConfig | None = None,
-    covariance_draws: int = 400,
     threads: int = 1,
 ) -> ExperimentReport:
     """Per trial: uplink sounding + pursuit, downlink gain refinement and
@@ -502,7 +517,7 @@ def run_reconstruction_experiment(
     nomp_cfg = nomp_cfg or NompConfig()
     refine_pattern = PilotPattern.from_config(cfg, K)
     baseline_pattern = PilotPattern.from_config(cfg, 4)
-    base_cov = genie_covariance(cfg, scenario, seed, draws=covariance_draws, downlink=True)
+    base_cov = genie_covariance(cfg, scenario)
     rows = pilot_row_indices(cfg, baseline_pattern)
 
     names = ["ls", "lmmse", "uplink_recon", "downlink_recon", "direct_inference"]
@@ -537,9 +552,10 @@ def run_reconstruction_experiment(
         out["lmmse"] = mse_linear(W @ y_p, h_dl, cfg.M)
         return out
 
-    # a generator, so each SNR's LMMSE filter is built just before its trials
+    # a generator, so each SNR's LMMSE filter is built just before its trials;
+    # the filter for covariance snr * R under unit noise is R's under noise 1/snr
     points = (
-        (snr, lmmse_filter(baseline_pattern, cfg, snr * base_cov, noise_variance=1.0))
+        (snr, lmmse_filter(baseline_pattern, cfg, base_cov, noise_variance=1.0 / snr))
         for snr in (10.0 ** (snr_db / 10.0) for snr_db in snr_list_db)
     )
     sweep = _sweep(points, trials, seed, threads, trial)

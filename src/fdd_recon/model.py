@@ -62,6 +62,19 @@ def synthesize_siso(cfg: SystemConfig, paths: Sequence[PathComponent]) -> np.nda
     return synthesize_uplink(replace(cfg, M=1), paths)
 
 
+def add_noise(vector: np.ndarray, variance: float, rng: np.random.Generator | None) -> np.ndarray:
+    """Add i.i.d. circular complex Gaussian noise (variance per complex element)
+    drawn from rng, which may be None only when variance is 0."""
+    if variance < 0:
+        raise ValueError("variance must be >= 0")
+    if variance == 0:
+        return vector
+    if rng is None:
+        raise ValueError("a random generator is required when variance > 0")
+    scale = np.sqrt(variance / 2.0)
+    return vector + scale * (rng.standard_normal(vector.shape) + 1j * rng.standard_normal(vector.shape))
+
+
 def as_grid(cfg: SystemConfig, vec: np.ndarray) -> np.ndarray:
     """Reshape a stacked vector to (N, M): rows are subcarriers.  An (N, M)
     grid is returned as it is."""

@@ -213,7 +213,6 @@ def _recon(cfg, scenario, btype, K, snr_list, trials, gammas=(2, 2)):
         trials,
         seed=0,
         nomp_cfg=nomp_cfg,
-        covariance_draws=800,
         threads=THREADS,
     )
 

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from fdd_recon import (
+    KroneckerCovariance,
     NormalizedPath,
     SystemConfig,
+    delay_vector,
     lmmse_estimate,
+    lmmse_filter,
     ls_estimate,
+    steering_vector,
     synthesize_from_normalized,
 )
 from fdd_recon.baselines import pilot_row_indices
@@ -15,6 +19,18 @@ from fdd_recon.harness import add_noise
 
 def flat_channel(cfg):
     return synthesize_from_normalized(cfg, [NormalizedPath(1.0, 0.0, 0.0)])
+
+
+def rank_one_covariance(cfg, mu, nu):
+    """outer(h, h^H) of the unit-gain atom at (mu, nu), in factored form."""
+    d, a = delay_vector(cfg, mu), steering_vector(cfg, nu)
+    return KroneckerCovariance(np.outer(d, d.conj()), np.outer(a, a.conj()))
+
+
+def random_factor(rng, size):
+    """Random Hermitian PSD matrix of rank about size / 2."""
+    X = rng.standard_normal((size, size // 2 + 1)) + 1j * rng.standard_normal((size, size // 2 + 1))
+    return X @ X.conj().T / size
 
 
 class TestLsEstimate:
@@ -67,7 +83,8 @@ class TestLmmseEstimate:
         cfg = SystemConfig(M=2, N=16, K=1)
         pat = PilotPattern.from_config(cfg)
         h = synthesize_from_normalized(cfg, [NormalizedPath(1.0, 0.2, 0.4)])
-        R = np.outer(h, h.conj())
+        R = rank_one_covariance(cfg, 0.2, 0.4)
+        np.testing.assert_allclose(np.kron(R.mu, R.nu), np.outer(h, h.conj()), atol=1e-12)
         y_p = h[pilot_row_indices(cfg, pat)]
         est = lmmse_estimate(y_p, pat, cfg, R, noise_variance=1e-12)
         np.testing.assert_allclose(est, h, atol=1e-5)
@@ -76,7 +93,7 @@ class TestLmmseEstimate:
         cfg = SystemConfig(M=2, N=32, K=4)
         pat = PilotPattern.from_config(cfg)
         h = synthesize_from_normalized(cfg, [NormalizedPath(1.0, 4 / 32, 1 / 2)])
-        R = np.outer(h, h.conj())
+        R = rank_one_covariance(cfg, 4 / 32, 1 / 2)
         rows = pilot_row_indices(cfg, pat)
         rng = np.random.default_rng(3)
         ls_err = lmmse_err = 0.0
@@ -89,7 +106,7 @@ class TestLmmseEstimate:
     def test_shrinks_to_zero_for_zero_channel(self):
         cfg = SystemConfig(M=2, N=16, K=4)
         pat = PilotPattern.from_config(cfg)
-        R = np.zeros((cfg.size, cfg.size), dtype=complex)
+        R = KroneckerCovariance(np.zeros((cfg.N, cfg.N), dtype=complex), np.zeros((cfg.M, cfg.M), dtype=complex))
         rng = np.random.default_rng(4)
         y_p = add_noise(np.zeros(pat.count * cfg.M, dtype=complex), 1.0, rng)
         est = lmmse_estimate(y_p, pat, cfg, R, noise_variance=100.0)
@@ -101,4 +118,38 @@ class TestLmmseEstimate:
         with pytest.raises(ValueError):
             ls_estimate(np.zeros(3, dtype=complex), pat, cfg)
         with pytest.raises(ValueError):
-            lmmse_estimate(np.zeros(3, dtype=complex), pat, cfg, np.eye(cfg.size))
+            lmmse_estimate(np.zeros(3, dtype=complex), pat, cfg, KroneckerCovariance(np.eye(cfg.N), np.eye(cfg.M)))
+
+
+class TestLmmseFilter:
+    @pytest.mark.parametrize("M, N, K", [(4, 32, 4), (3, 17, 4), (5, 16, 2), (2, 15, 3), (1, 8, 1)])
+    def test_factored_matches_dense_solve(self, M, N, K):
+        # the oracle: R_hp (R_pp + s^2 I)^-1 with R = kron(R_mu, R_nu) formed densely
+        cfg = SystemConfig(M=M, N=N, K=K)
+        pat = PilotPattern.from_config(cfg)
+        rng = np.random.default_rng(M * 100 + N)
+        cov = KroneckerCovariance(random_factor(rng, N), random_factor(rng, M))
+        R = np.kron(cov.mu, cov.nu)
+        rows = pilot_row_indices(cfg, pat)
+        for s2 in (1.0, 0.05):
+            dense = np.linalg.solve(R[np.ix_(rows, rows)] + s2 * np.eye(rows.size), R[:, rows].conj().T).conj().T
+            W = lmmse_filter(pat, cfg, cov, noise_variance=s2)
+            factored = np.column_stack([W @ e for e in np.eye(rows.size, dtype=complex)])
+            assert np.abs(factored - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_nbytes_counts_every_factor(self):
+        cfg = SystemConfig(M=3, N=16, K=4)
+        pat = PilotPattern.from_config(cfg)
+        cov = KroneckerCovariance(np.eye(cfg.N, dtype=complex), np.eye(cfg.M, dtype=complex))
+        assert cov.nbytes == 16 * (cfg.N**2 + cfg.M**2)
+        W = lmmse_filter(pat, cfg, cov)
+        n_p = pat.count
+        assert W.nbytes == 16 * (cfg.N * n_p + n_p**2 + 2 * cfg.M**2) + 8 * n_p * cfg.M
+
+    def test_noise_variance_must_be_positive(self):
+        cfg = SystemConfig(M=2, N=16, K=4)
+        pat = PilotPattern.from_config(cfg)
+        cov = KroneckerCovariance(np.eye(cfg.N), np.eye(cfg.M))
+        for s2 in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                lmmse_filter(pat, cfg, cov, noise_variance=s2)

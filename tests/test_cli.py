@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from fdd_recon.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, config_hash, main
+
+COMMITTED_CONFIGS = sorted((Path(__file__).parent.parent / "scripts" / "configs").glob("*.json"))
 
 BASE_CONFIG = {
     "experiment": "crb",
@@ -42,7 +45,6 @@ class TestRun:
             "snr_db": [10.0],
             "trials": 3,
             "seed": 0,
-            "covariance_draws": 20,
         }
         cfg_path = write_config(tmp_path, config)
         out = tmp_path / "out"
@@ -85,6 +87,25 @@ class TestRun:
         config = dict(BASE_CONFIG, system={"M": 0, "N": 16})
         cfg_path = write_config(tmp_path, config)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("trials", [-3, 0])
+    def test_nonpositive_trials_exit2(self, tmp_path, trials):
+        out = tmp_path / "o"
+        cfg_path = write_config(tmp_path, dict(BASE_CONFIG, trials=trials))
+        assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        cfg_path = write_config(tmp_path, BASE_CONFIG, name="ok.json")
+        assert main(["run", str(cfg_path), "--out", str(out), "--trials", str(trials)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_stale_covariance_draws_rejected(self, tmp_path):
+        cfg_path = write_config(tmp_path, dict(BASE_CONFIG, covariance_draws=800))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("config", COMMITTED_CONFIGS, ids=lambda p: p.stem)
+    def test_committed_config_runs_and_verifies(self, tmp_path, config):
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--trials", "1", "--out", str(out)]) == EXIT_OK
+        assert main(["verify", str(out / "report.json")]) == EXIT_OK
 
     def test_missing_file_exit2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == EXIT_CONFIG

@@ -102,6 +102,28 @@ class TestSimulatePilots:
         y2 = simulate_downlink_pilots(cfg, paths, ests, "type2", pat, 0.0)
         np.testing.assert_allclose(y1, y2, rtol=1e-12)
 
+    def test_noise_bit_identical_for_fixed_generator(self):
+        # the circular Gaussian draw the simulator has always made: real parts
+        # first, then imaginary parts, scaled by sqrt(variance / 2)
+        cfg = make_cfg()
+        pat = PilotPattern.from_config(cfg)
+        paths = [PathComponent(1.0 + 0.5j, 2e-6, 0.3), PathComponent(-0.7j, 5e-6, -0.4)]
+        ests = [(2.1e-6, 0.28), (4.9e-6, -0.41)]
+        for btype in ("type1", "type2"):
+            clean = simulate_downlink_pilots(cfg, paths, ests, btype, pat, 0.0)
+            ref = np.random.default_rng(11)
+            expected = clean + np.sqrt(0.7 / 2.0) * (
+                ref.standard_normal(clean.shape) + 1j * ref.standard_normal(clean.shape)
+            )
+            y = simulate_downlink_pilots(cfg, paths, ests, btype, pat, 0.7, np.random.default_rng(11))
+            np.testing.assert_array_equal(y, expected)
+
+    def test_noise_requires_generator(self):
+        cfg = make_cfg()
+        pat = PilotPattern.from_config(cfg)
+        with pytest.raises(ValueError, match="generator"):
+            simulate_downlink_pilots(cfg, [], [(1e-6, 0.2)], "type1", pat, 1.0)
+
 
 def triple_loop_pilots(cfg, pattern, true_paths, estimates, btype):
     """y[(j, i)] = sum_l g_l exp(j*2*pi*(delta_F + n_i*delta_f)*tau_l) a^H(theta_l) a(theta_hat_j),

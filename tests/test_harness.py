@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import j0
 
 from fdd_recon import (
     Cluster,
@@ -17,6 +18,7 @@ from fdd_recon import (
     add_noise,
     cdf_points,
     generate_scenario,
+    genie_covariance,
     match_paths,
     mse_metric,
     phase_error_law,
@@ -24,6 +26,7 @@ from fdd_recon import (
     run_false_alarm_experiment,
     run_phase_error_experiment,
     run_reconstruction_experiment,
+    synthesize_downlink,
 )
 from fdd_recon.config import NormalizedPath, normalize_path, wrapped_dist
 from fdd_recon.harness import DimensionMismatchError, _sweep, mse_linear
@@ -86,6 +89,79 @@ class TestScenarios:
         cfg = cfg_mn(4, 8)
         paths = (PathComponent(1.0, 1e-6, 0.2),)
         assert generate_scenario(cfg, Custom(paths), np.random.default_rng(0)) == list(paths)
+
+
+def sample_draws(cfg, spec, seed, draws):
+    """Unit-power downlink channels of the scenario, one row per draw."""
+    H = np.empty((draws, cfg.size), dtype=complex)
+    for d in range(draws):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
+        H[d] = synthesize_downlink(cfg, generate_scenario(cfg, spec, rng, total_power=1.0))
+    return H
+
+
+class TestGenieCovariance:
+    def test_sparse_two_path_factors_closed_form(self):
+        # uniform angle at d/lambda = 1/2: E[exp(j*pi*k*sin(theta))] = J0(pi*k);
+        # delay uniform on [0, f): (exp(j*2*pi*k*f) - 1) / (j*2*pi*k*f)
+        cfg = SystemConfig(M=9, N=24, delta_F=300e6)
+        f = 1.0 / 16.0
+        R = genie_covariance(cfg, SparseTwoPath(delay_spread_fraction=f))
+        k_nu = np.subtract.outer(np.arange(cfg.M), np.arange(cfg.M))
+        assert np.abs(R.nu - j0(np.pi * k_nu)).max() <= 1e-12
+        k_mu = np.subtract.outer(np.arange(cfg.N), np.arange(cfg.N))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            law = (np.exp(2j * np.pi * k_mu * f) - 1.0) / (2j * np.pi * k_mu * f)
+        law[k_mu == 0] = 1.0
+        assert np.abs(R.mu - law).max() <= 1e-12
+
+    def test_equal_power_grid_uniform_torus_is_white(self):
+        R = genie_covariance(cfg_mn(6, 20), EqualPowerGrid(count=3))
+        np.testing.assert_allclose(R.mu, np.eye(20), atol=1e-15)
+        np.testing.assert_allclose(R.nu, np.eye(6), atol=1e-15)
+
+    def test_custom_has_no_ensemble(self):
+        with pytest.raises(TypeError):
+            genie_covariance(cfg_mn(4, 8), Custom((PathComponent(1.0, 1e-6, 0.2),)))
+
+    @pytest.mark.parametrize(
+        "d_over_lambda, spec",
+        [
+            (0.5, SparseTwoPath()),
+            (0.5, Cluster()),
+            (0.3, Cluster(paths=3, angular_spread_deg=60.0, delay_spread_cells=5.0)),
+            (0.3, EqualPowerGrid(count=2)),
+        ],
+    )
+    def test_sample_covariance_converges_at_root_draws_rate(self, d_over_lambda, spec):
+        # The sample covariance of n draws misses the exact one by about
+        # sqrt((E||h||^4 - ||R||^2) / n) in Frobenius norm; pooling four
+        # independent samples must halve the error.  A wrong factor leaves a
+        # bias that pooling cannot remove.
+        cfg = SystemConfig(M=4, N=16, delta_F=300e6, d_over_lambda=d_over_lambda)
+        R = genie_covariance(cfg, spec)
+        exact = np.kron(R.mu, R.nu)
+        scale = np.linalg.norm(exact)
+        n = 2000
+        samples = []
+        for seed in range(4):
+            H = sample_draws(cfg, spec, seed, n)
+            S = H.T @ H.conj() / n
+            predicted = np.sqrt((np.mean(np.sum(np.abs(H) ** 2, axis=1) ** 2) - np.linalg.norm(S) ** 2) / n)
+            assert 0.6 <= np.linalg.norm(S - exact) / predicted <= 1.4
+            samples.append(S)
+        single = np.mean([np.linalg.norm(S - exact) for S in samples]) / scale
+        pooled = np.linalg.norm(np.mean(samples, axis=0) - exact) / scale
+        assert 0.35 <= pooled / single <= 0.65
+
+    def test_factors_are_unit_diagonal_hermitian(self):
+        cfg = SystemConfig(M=7, N=30, d_over_lambda=0.4)
+        for spec in (SparseTwoPath(), Cluster(), EqualPowerGrid(count=3)):
+            R = genie_covariance(cfg, spec)
+            for F in (R.mu, R.nu):
+                np.testing.assert_allclose(F, F.conj().T, atol=1e-15)
+                np.testing.assert_allclose(np.diag(F), 1.0, atol=1e-14)
+                assert np.linalg.eigvalsh(F).min() >= -1e-12
 
 
 class TestNoise:
@@ -255,7 +331,6 @@ class TestExperiments:
             snr_list_db=[10.0, 20.0],
             trials=6,
             seed=3,
-            covariance_draws=50,
         )
         a = run_reconstruction_experiment(cfg, **kw)
         b = run_reconstruction_experiment(cfg, **kw, threads=4)
@@ -265,6 +340,19 @@ class TestExperiments:
         for name in ("ls", "lmmse", "uplink_recon", "downlink_recon", "direct_inference"):
             assert len(a.curves[name]) == 2
             assert [len(p) for p in a.per_trial_db[name]] == [6, 6]
+
+    @pytest.mark.parametrize("trials", [-3, 0])
+    def test_trials_must_be_positive(self, trials):
+        cfg = cfg_mn(4, 16, delta_F=300e6)
+        runs = [
+            lambda: run_crb_experiment(cfg, [20.0], trials, scenario=EqualPowerGrid(count=2)),
+            lambda: run_false_alarm_experiment(cfg, 0.1, trials),
+            lambda: run_phase_error_experiment(cfg, trials),
+            lambda: run_reconstruction_experiment(cfg, SparseTwoPath(), "type1", 4, [10.0], trials),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match="trials"):
+                run()
 
     def test_cdf_accessor(self):
         cfg = cfg_mn(4, 16)
