@@ -49,6 +49,17 @@ def _require_keys(obj: Dict[str, Any], allowed: set, context: str):
         raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
 
 
+def _int_field(config: Dict[str, Any], key: str, default: int) -> int:
+    """config[key] as an int; bools, non-integral numbers and strings are
+    config errors rather than values int() would coerce."""
+    value = config.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_system(obj: Dict[str, Any]) -> SystemConfig:
     _require_keys(obj, {"M", "N", "delta_f", "delta_F", "d_over_lambda", "K"}, "system")
     try:
@@ -203,10 +214,10 @@ def run_from_config(config: Dict[str, Any], out_dir: Path, threads: int) -> Expe
         raise ConfigError("missing 'system' section")
     cfg = _parse_system(config["system"])
     nomp_cfg = _parse_nomp(dict(config["nomp"])) if "nomp" in config else None
-    trials = int(config.get("trials", 100))
+    trials = _int_field(config, "trials", 100)
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    seed = int(config.get("seed", 0))
+    seed = _int_field(config, "seed", 0)
     snr_db = list(config.get("snr_db", [10.0]))
 
     if experiment == "crb":
@@ -236,7 +247,7 @@ def run_from_config(config: Dict[str, Any], out_dir: Path, threads: int) -> Expe
             cfg,
             scenario,
             btype,
-            int(config.get("K", cfg.K)),
+            _int_field(config, "K", cfg.K),
             snr_db,
             trials,
             seed=seed,

@@ -7,23 +7,45 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .config import NormalizedPath, PathComponent, SystemConfig, normalize_path, wrap_unit
+from .config import NormalizedPath, PathComponent, SystemConfig, normalize_path
+
+
+@lru_cache(maxsize=16)
+def _phase_slopes(cfg: SystemConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """j*2*pi*n over the subcarriers and j*2*pi*m over the antennas, built
+    once per config and read-only.  The ramps below scale them by the
+    coordinate wrapped with Python's %, which equals np.mod (wrap_unit) and
+    costs less on a scalar, so they equal exp(j*2*pi*index*wrap_unit(x))."""
+    n = 2j * np.pi * cfg.subcarrier_indices
+    m = 2j * np.pi * cfg.antenna_indices
+    n.flags.writeable = m.flags.writeable = False
+    return n, m
 
 
 def steering_vector(cfg: SystemConfig, nu: float) -> np.ndarray:
     """ULA phase ramp exp(j*2*pi*m*nu) over the antenna indices."""
-    nu = wrap_unit(nu)
-    return np.exp(2j * np.pi * cfg.antenna_indices * nu)
+    return np.exp(_phase_slopes(cfg)[1] * (nu % 1.0))
 
 
 def delay_vector(cfg: SystemConfig, mu: float) -> np.ndarray:
     """OFDM phase ramp exp(j*2*pi*n*mu) over the subcarrier indices."""
-    mu = wrap_unit(mu)
-    return np.exp(2j * np.pi * cfg.subcarrier_indices * mu)
+    return np.exp(_phase_slopes(cfg)[0] * (mu % 1.0))
+
+
+def ramp_matrices(cfg: SystemConfig, mus, nus) -> Tuple[np.ndarray, np.ndarray]:
+    """Delay ramps of the mus as the columns of an N x L matrix D and steering
+    ramps of the nus as the columns of an M x L matrix A.  Column l equals
+    delay_vector(cfg, mus[l]) (steering_vector(cfg, nus[l])) bit for bit, and
+    D[:, l] (x) A[:, l] is the l-th path's atom."""
+    n, m = _phase_slopes(cfg)
+    mus = np.asarray(mus, dtype=float) % 1.0
+    nus = np.asarray(nus, dtype=float) % 1.0
+    return np.exp(n[:, None] * mus), np.exp(m[:, None] * nus)
 
 
 def atom(cfg: SystemConfig, mu: float, nu: float) -> np.ndarray:

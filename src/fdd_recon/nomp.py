@@ -9,7 +9,11 @@ from typing import List, Literal, Sequence, Tuple
 import numpy as np
 
 from .config import NormalizedPath, SystemConfig, wrap_unit, wrapped_dist
-from .model import as_grid, atom, delay_vector, steering_vector, synthesize_from_normalized
+from .model import as_grid, atom, delay_vector, ramp_matrices, steering_vector
+
+# Not called here: the pursuit rebuilds its residuals from ramp matrices.  The
+# name stays a module attribute because perfbench/tracer.py hooks it.
+from .model import synthesize_from_normalized  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,13 +84,11 @@ def _ramp_powers(cfg: SystemConfig) -> Tuple[np.ndarray, np.ndarray]:
     return wn, wm
 
 
-def _moments(cfg: SystemConfig, grid: np.ndarray, mu: float, nu: float) -> np.ndarray:
+def _moments(cfg: SystemConfig, grid: np.ndarray, d: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Q[j, k] = sum_{n,m} conj(r[n, m]) (2*pi*n)^j (2*pi*m)^k u[n, m] on the
-    N x M residual grid; the atom u = d(mu) (x) a(nu) is never formed."""
+    N x M residual grid; the atom u = d (x) a is never formed."""
     wn, wm = _ramp_powers(cfg)
-    d = delay_vector(cfg, mu).conj()
-    a = steering_vector(cfg, nu).conj()
-    return ((wn * d) @ grid @ (wm * a[:, None])).conj()
+    return ((wn * d.conj()) @ grid @ (wm * a.conj()[:, None])).conj()
 
 
 def _grad_hess_from_moments(q: np.ndarray, g: complex):
@@ -120,20 +122,28 @@ def coarse_detect(cfg: SystemConfig, residual: np.ndarray, nomp_cfg: NompConfig)
     return k1 / g1n, k2 / g2m, float(power.flat[flat])
 
 
+def _ls_gain(cfg: SystemConfig, grid: np.ndarray, d: np.ndarray, a: np.ndarray) -> complex:
+    return complex(d.conj() @ grid @ a.conj() / cfg.size)
+
+
 def ls_gain_single(cfg: SystemConfig, residual: np.ndarray, mu: float, nu: float) -> complex:
     """Scalar LS gain u^H r / ||u||^2; the residual is stacked or an N x M grid."""
-    d = delay_vector(cfg, mu).conj()
-    a = steering_vector(cfg, nu).conj()
-    return complex(d @ as_grid(cfg, residual) @ a / cfg.size)
+    return _ls_gain(cfg, as_grid(cfg, residual), delay_vector(cfg, mu), steering_vector(cfg, nu))
 
 
 def _grad_hess(cfg: SystemConfig, residual: np.ndarray, g: complex, mu: float, nu: float):
     """Analytic gradient and Hessian of S with respect to (mu, nu)."""
-    return _grad_hess_from_moments(_moments(cfg, as_grid(cfg, residual), mu, nu), g)
+    q = _moments(cfg, as_grid(cfg, residual), delay_vector(cfg, mu), steering_vector(cfg, nu))
+    return _grad_hess_from_moments(q, g)
 
 
 def newton_refine(
-    cfg: SystemConfig, residual: np.ndarray, g: complex, mu: float, nu: float
+    cfg: SystemConfig,
+    residual: np.ndarray,
+    g: complex,
+    mu: float,
+    nu: float,
+    factors: List[np.ndarray] | None = None,
 ) -> Tuple[complex, float, float, bool]:
     """One joint Newton step on (mu, nu), guarded by local concavity.
 
@@ -145,9 +155,15 @@ def newton_refine(
     One antenna (subcarrier) carries no angle (delay) information and zeroes
     that row of the Hessian, so there the step is on mu (nu) alone, guarded by
     its own second derivative being negative.
+
+    factors, when given, is the list [delay_vector(cfg, mu),
+    steering_vector(cfg, nu)]; it is used instead of rebuilding the ramps, and
+    after an accepted step it is updated in place to the new (mu, nu)'s ramps.
     """
     grid = as_grid(cfg, residual)
-    q = _moments(cfg, grid, mu, nu)
+    if factors is None:
+        factors = [delay_vector(cfg, mu), steering_vector(cfg, nu)]
+    q = _moments(cfg, grid, *factors)
     grad, hess = _grad_hess_from_moments(q, g)
     if cfg.M > 1 and cfg.N > 1:
         det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
@@ -163,12 +179,22 @@ def newton_refine(
         step_mu, step_nu = (0.0, step) if k else (step, 0.0)
     mu_new = float(wrap_unit(mu - step_mu))
     nu_new = float(wrap_unit(nu - step_nu))
-    g_new = ls_gain_single(cfg, grid, mu_new, nu_new)
+    d_new, a_new = delay_vector(cfg, mu_new), steering_vector(cfg, nu_new)
+    g_new = _ls_gain(cfg, grid, d_new, a_new)
     # S = 2 Re{g r^H u} - |g|^2 M N, which is |g|^2 M N at the LS gain
     s_old = 2.0 * np.real(g * q[0, 0]) - abs(g) ** 2 * cfg.size
     if abs(g_new) ** 2 * cfg.size < s_old:
         return g, mu, nu, False
+    factors[:] = d_new, a_new
     return g_new, mu_new, nu_new, True
+
+
+def _residual_grid(cfg: SystemConfig, y: np.ndarray, paths: Sequence[NormalizedPath]):
+    """The residual Y - (D diag(g)) A^T on the N x M grid, with the paths' delay
+    ramps as the columns of D and steering ramps as those of A; returns it
+    with D and A."""
+    D, A = ramp_matrices(cfg, [p.mu for p in paths], [p.nu for p in paths])
+    return as_grid(cfg, y) - (D * [p.gain for p in paths]) @ A.T, D, A
 
 
 def cyclic_refine(
@@ -177,27 +203,33 @@ def cyclic_refine(
     """Re-run the Newton step on each path in detection order, rounds times.
 
     The residual stays an N x M grid and each path's atom stays factored as
-    (delay, steering) vectors, so adding a path back and taking it out again
-    are rank-one updates.
+    (delay, steering) vectors, which the Newton step reads and updates, so
+    adding a path back and taking it out again are rank-one updates and no
+    ramp is built twice.
     """
     if not paths:
         raise ValueError("cyclic_refine needs at least one path")
     paths = [NormalizedPath(p.gain, p.mu, p.nu) for p in paths]
-    residual = as_grid(cfg, y - synthesize_from_normalized(cfg, paths))
-    factors = [(delay_vector(cfg, p.mu), steering_vector(cfg, p.nu)) for p in paths]
+    residual, D, A = _residual_grid(cfg, y, paths)
+    factors = [[d, a] for d, a in zip(D.T, A.T)]
     for _ in range(rounds):
-        for i, p in enumerate(paths):
-            d, a = factors[i]
-            residual += p.gain * np.outer(d, a)
-            p.gain, p.mu, p.nu, applied = newton_refine(cfg, residual, p.gain, p.mu, p.nu)
-            if applied:
-                factors[i] = d, a = delay_vector(cfg, p.mu), steering_vector(cfg, p.nu)
-            residual -= p.gain * np.outer(d, a)
+        for p, f in zip(paths, factors):
+            residual += np.outer(p.gain * f[0], f[1])
+            p.gain, p.mu, p.nu, _ = newton_refine(cfg, residual, p.gain, p.mu, p.nu, f)
+            residual -= np.outer(p.gain * f[0], f[1])
     return paths
 
 
 def update_all_gains(cfg: SystemConfig, y: np.ndarray, paths: Sequence[NormalizedPath]) -> List[NormalizedPath]:
-    """Joint LS re-fit of all gains via an orthogonal-factorization solve."""
+    """Joint LS re-fit of all gains from the L x L Gram matrix.
+
+    With the paths' delay ramps as the columns of D (N x L) and steering ramps
+    as those of A (M x L), the atoms' Gram matrix is (D^H D) o (A^H A) and the
+    right-hand side is b_l = d_l^H Y conj(a_l) on the N x M grid Y, so no
+    MN-length atom is formed.  The L x L system is solved for its minimum-norm
+    least-squares solution, which stays finite when the Gram is singular
+    (aliased atoms).  Duplicate detections raise RankDeficientError first.
+    """
     dups = [
         (i, j)
         for i in range(len(paths))
@@ -208,8 +240,11 @@ def update_all_gains(cfg: SystemConfig, y: np.ndarray, paths: Sequence[Normalize
     if dups:
         raise RankDeficientError("duplicate (mu, nu) detections", duplicates=dups)
 
-    U = np.column_stack([atom(cfg, p.mu, p.nu) for p in paths])
-    gains, _, _, _ = np.linalg.lstsq(U, y, rcond=None)
+    D, A = ramp_matrices(cfg, [p.mu for p in paths], [p.nu for p in paths])
+    Dh, Ah = D.conj().T, A.conj().T
+    gram = (Dh @ D) * (Ah @ A)
+    b = np.sum((Dh @ as_grid(cfg, y)) * Ah, axis=1)
+    gains, _, _, _ = np.linalg.lstsq(gram, b, rcond=None)
     return [NormalizedPath(complex(g), p.mu, p.nu) for g, p in zip(gains, paths)]
 
 
@@ -247,7 +282,7 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
         raise ValueError("y holds NaN or infinite entries")
     max_paths = nomp_cfg.resolve_max_paths(cfg)
     paths: List[NormalizedPath] = []
-    residual = y.astype(complex).copy()
+    residual = as_grid(cfg, y.astype(complex))
     iterations = 0
     stop_reason: Literal["criterion", "max_paths", "stalled"] = "max_paths"
 
@@ -278,7 +313,7 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
                 keep = set(range(len(paths))) - {j for _, j in err.duplicates}
                 paths = [paths[i] for i in sorted(keep)]
                 paths = update_all_gains(cfg, y, paths)
-            residual = y - synthesize_from_normalized(cfg, paths)
+            residual, _, _ = _residual_grid(cfg, y, paths)
             iterations += 1
 
         energy = float(np.vdot(residual, residual).real)

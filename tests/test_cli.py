@@ -97,6 +97,29 @@ class TestRun:
         assert main(["run", str(cfg_path), "--out", str(out), "--trials", str(trials)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["trials", "seed", "K"])
+    @pytest.mark.parametrize("value", [2.5, True, False, "abc", "3", None, float("inf")])
+    def test_non_integer_fields_exit2(self, tmp_path, key, value):
+        out = tmp_path / "o"
+        config = {
+            "experiment": "reconstruction",
+            "system": {"M": 2, "N": 16},
+            "scenario": {"kind": "sparse_two_path"},
+            "trials": 1,
+            key: value,
+        }
+        cfg_path = write_config(tmp_path, config)
+        assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_integral_float_fields_accepted(self, tmp_path):
+        out = tmp_path / "o"
+        config = dict(BASE_CONFIG, trials=2.0, seed=9.0)
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert payload["report"]["trials"] == 2
+        assert payload["seed"] == 9
+
     def test_stale_covariance_draws_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path, dict(BASE_CONFIG, covariance_draws=800))
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -17,6 +17,8 @@ from fdd_recon import (
     synthesize_siso,
     synthesize_uplink,
 )
+from fdd_recon.config import wrap_unit
+from fdd_recon.model import _phase_slopes, ramp_matrices
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 
@@ -40,6 +42,34 @@ class TestSystemConfig:
         cfg = cfg_mn(4, 7)
         assert list(cfg.antenna_indices) == [-2, -1, 0, 1]
         assert list(cfg.subcarrier_indices) == [-3, -2, -1, 0, 1, 2, 3]
+
+
+class TestRampMatrices:
+    # the ramps as they were built before the phase slopes were cached
+    @staticmethod
+    def reference(indices, x):
+        return np.exp(2j * np.pi * indices * wrap_unit(x))
+
+    @pytest.mark.parametrize("M,N", [(4, 7), (5, 8), (1, 16), (16, 1)])
+    def test_columns_equal_the_vector_ramps_bit_for_bit(self, M, N):
+        cfg = cfg_mn(M, N)
+        xs = [0.0, 0.3, 0.999, -0.3, -1e-20, 1.7, 123.456, np.float64(-5.25)]
+        D, A = ramp_matrices(cfg, xs, xs[::-1])
+        assert D.shape == (N, len(xs)) and A.shape == (M, len(xs))
+        for col, (mu, nu) in enumerate(zip(xs, xs[::-1])):
+            np.testing.assert_array_equal(delay_vector(cfg, mu), self.reference(cfg.subcarrier_indices, mu))
+            np.testing.assert_array_equal(steering_vector(cfg, nu), self.reference(cfg.antenna_indices, nu))
+            np.testing.assert_array_equal(D[:, col], delay_vector(cfg, mu))
+            np.testing.assert_array_equal(A[:, col], steering_vector(cfg, nu))
+
+    def test_slopes_cached_read_only_and_ramps_fresh(self):
+        cfg = cfg_mn(2, 4)
+        n, m = _phase_slopes(cfg)
+        assert _phase_slopes(cfg_mn(2, 4))[0] is n
+        assert not n.flags.writeable and not m.flags.writeable
+        d = delay_vector(cfg, 0.25)
+        d[0] = 0.0
+        assert delay_vector(cfg, 0.25)[0] != 0.0
 
 
 class TestSteeringVector:

@@ -1,5 +1,6 @@
 import contextlib
 import signal
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fdd_recon import (
     steering_vector,
     synthesize_from_normalized,
 )
-from fdd_recon import nomp
+from fdd_recon import model, nomp
 from fdd_recon.config import wrap_unit, wrapped_dist
 from fdd_recon.nomp import (
     MAX_ITERATIONS_PER_PATH,
@@ -112,6 +113,21 @@ def dense_cyclic(cfg, y, paths, rounds):
             r_plus = residual + p.gain * dense_atom(cfg, p.mu, p.nu)
             p.gain, p.mu, p.nu, _ = dense_newton(cfg, r_plus, p.gain, p.mu, p.nu)
             residual = r_plus - p.gain * dense_atom(cfg, p.mu, p.nu)
+    return paths
+
+
+def separated_paths(cfg, L, rng, gain=0.0):
+    """L random paths, each pair at least 1.5 cells apart in mu or in nu; an
+    axis with a single index separates nothing."""
+    paths = []
+    while len(paths) < L:
+        mu, nu = rng.uniform(), rng.uniform()
+        if all(
+            (cfg.N > 1 and wrapped_dist(mu, p.mu) >= 1.5 / cfg.N)
+            or (cfg.M > 1 and wrapped_dist(nu, p.nu) >= 1.5 / cfg.M)
+            for p in paths
+        ):
+            paths.append(NormalizedPath(gain, mu, nu))
     return paths
 
 
@@ -454,6 +470,43 @@ class TestUpdateAllGains:
         with pytest.raises(RankDeficientError):
             update_all_gains(cfg, np.zeros(cfg.size, dtype=complex), paths)
 
+    def test_duplicates_raise_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve reached before the duplicate check")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_solve)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        cfg = SystemConfig(M=4, N=8)
+        paths = [NormalizedPath(1.0, 0.3, 0.7), NormalizedPath(1.0, 0.3 + 1e-12, 0.7)]
+        with pytest.raises(RankDeficientError):
+            update_all_gains(cfg, np.zeros(cfg.size, dtype=complex), paths)
+
+    # odd and even sizes, one antenna and one subcarrier
+    @pytest.mark.parametrize("M,N", [(8, 16), (5, 33), (7, 12), (1, 64), (40, 1)])
+    @pytest.mark.parametrize("L", [1, 2, 15])
+    def test_gram_solve_matches_dense_lstsq(self, M, N, L):
+        cfg = SystemConfig(M=M, N=N)
+        rng = np.random.default_rng(100 * M + N + L)
+        paths = separated_paths(cfg, L, rng)
+        U = np.column_stack([atom(cfg, p.mu, p.nu) for p in paths])
+        g = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        y = U @ g + make_noise(cfg, rng, 0.1)
+        out = update_all_gains(cfg, y, paths)
+        dense, _, _, _ = np.linalg.lstsq(U, y, rcond=None)
+        np.testing.assert_allclose([p.gain for p in out], dense, rtol=1e-9)
+
+    def test_aliased_atoms_give_finite_least_squares_gains(self):
+        # one antenna: paths with equal mu and different nu have equal atoms,
+        # so the Gram matrix is singular
+        cfg = SystemConfig(M=1, N=8)
+        paths = [NormalizedPath(0.0, 0.3, 0.1), NormalizedPath(0.0, 0.3, 0.6)]
+        U = np.column_stack([atom(cfg, p.mu, p.nu) for p in paths])
+        y = 2.0 * U[:, 0] + make_noise(cfg, np.random.default_rng(8), 0.1)
+        gains = np.array([p.gain for p in update_all_gains(cfg, y, paths)])
+        dense, _, _, _ = np.linalg.lstsq(U, y, rcond=None)
+        assert np.all(np.isfinite(gains))
+        assert np.linalg.norm(y - U @ gains) == pytest.approx(np.linalg.norm(y - U @ dense), rel=1e-9)
+
 
 class TestStopping:
     def test_power_threshold_value(self):
@@ -552,6 +605,44 @@ class TestNompExtract:
             assert min(abs(best.mu - t.mu), 1 - abs(best.mu - t.mu)) <= 1e-6 / cfg.N
             assert min(abs(best.nu - t.nu), 1 - abs(best.nu - t.nu)) <= 1e-6 / cfg.M
         assert res.residual_energy <= 1e-12 * cfg.size
+
+
+class TestFactoredPursuit:
+    def test_no_atoms_and_at_most_two_delay_ramps_per_cyclic_step(self, monkeypatch):
+        cfg = SystemConfig(M=32, N=128)
+        rng = np.random.default_rng(15)
+        truth = [
+            NormalizedPath(3.0 * np.exp(2j * np.pi * rng.uniform()), p.mu, p.nu)
+            for p in separated_paths(cfg, 15, rng)
+        ]
+        y = synthesize_from_normalized(cfg, truth) + make_noise(cfg, rng)
+        counts = Counter()
+        in_cyclic = [False]
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name, in_cyclic[0]] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def cyclic(*args, **kwargs):
+            in_cyclic[0] = True
+            try:
+                return cyclic_refine(*args, **kwargs)
+            finally:
+                in_cyclic[0] = False
+
+        for module in (nomp, model):
+            monkeypatch.setattr(module, "atom", counted("atom", module.atom))
+        monkeypatch.setattr(nomp, "delay_vector", counted("delay", nomp.delay_vector))
+        monkeypatch.setattr(nomp, "newton_refine", counted("newton", nomp.newton_refine))
+        monkeypatch.setattr(nomp, "cyclic_refine", cyclic)
+        res = nomp_extract(y, cfg, NompConfig(max_paths=15))
+        assert len(res.paths) == 15
+        assert counts["atom", False] + counts["atom", True] == 0
+        assert counts["newton", True] > 0
+        assert counts["delay", True] <= 2 * counts["newton", True]
 
 
 class TestBoundedPursuit:
