@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -23,6 +24,10 @@ class SystemConfig:
     K: int = 4  # downlink pilot stride
 
     def __post_init__(self):
+        for name in ("M", "N", "K"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.M < 1 or self.N < 1:
             raise ValueError("M and N must be positive integers")
         if self.delta_f <= 0:
@@ -86,14 +91,12 @@ def normalize_path(cfg: SystemConfig, path: PathComponent) -> NormalizedPath:
 
 
 def denormalize_path(cfg: SystemConfig, npath: NormalizedPath) -> PathComponent:
-    """Invert normalize_path.
-
-    The ULA only resolves the front half-plane, so the returned angle lies in
-    (-pi/2, pi/2]; nu is unwrapped into [-0.5, 0.5) before the arcsine.
-    """
+    """Invert normalize_path.  nu is unwrapped into [-0.5, 0.5); a nu with
+    |nu| > d/lambda has no angle (it is invisible) and raises ValueError."""
     delay = wrap_unit(npath.mu) / cfg.delta_f
     nu = wrap_unit(npath.nu)
     if nu >= 0.5:
         nu -= 1.0
-    angle = float(np.arcsin(np.clip(nu / cfg.d_over_lambda, -1.0, 1.0)))
-    return PathComponent(gain=npath.gain, delay=float(delay), angle=angle)
+    if abs(nu) > cfg.d_over_lambda:
+        raise ValueError(f"nu {npath.nu} is invisible at d/lambda {cfg.d_over_lambda}")
+    return PathComponent(gain=npath.gain, delay=float(delay), angle=float(np.arcsin(nu / cfg.d_over_lambda)))

@@ -1,15 +1,19 @@
-# Downlink gain refinement: beamformed pilot model, coefficient matrix,
-# LS gain re-estimation, and final downlink reconstruction.
+# Downlink gain refinement from the pursuit's (mu, nu) estimates: beamformed
+# pilot model, coefficient matrix, LS gain re-estimation, and reconstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal, Sequence, Tuple
+from typing import Literal, Sequence, Tuple
 
 import numpy as np
 
-from .config import PathComponent, SystemConfig, wrap_unit
-from .model import add_noise, synthesize_downlink
+from .config import PathComponent, SystemConfig, normalize_path
+from .model import add_noise, offset_phases, ramp_matrices
 from .nomp import RankDeficientError
+
+# Not called here: reconstruct_downlink builds the channel from ramp matrices.
+# The name stays a module attribute because perfbench/tracer.py hooks it.
+from .model import synthesize_downlink  # noqa: F401
 
 BeamformingType = Literal["type1", "type2"]
 
@@ -41,32 +45,27 @@ def _pilot_operator(
     cfg: SystemConfig,
     pattern: PilotPattern,
     paths: Sequence[Tuple[float, float]],
-    beam_angles: Sequence[float],
+    beam_nus: Sequence[float],
     btype: BeamformingType,
 ) -> np.ndarray:
-    """Pilots received from unit-gain (delay, angle) paths under beams toward
-    beam_angles: the row of pilot i and beam j holds, for path l,
-    exp(j*2*pi*(delta_F + n_i*delta_f)*tau_l) * a^H(theta_l) a(theta_hat_j).
+    """Pilots received from unit-gain (mu, nu) paths under beams steered at
+    the spatial frequencies beam_nus: the row of pilot i and beam j holds, for
+    path l, exp(j*2*pi*(delta_F/delta_f + n_i)*mu_l) * a^H(nu_l) a(beam_nus[j]).
 
     Type 1 stacks one Np-row block per beam (Mp = Np*L); Type 2
     frequency-multiplexes the beams onto the pilot subcarriers, beam i mod L
     on pilot i (Mp = Np).
     """
-    if not beam_angles:
+    if not beam_nus:
         raise EmptyEstimatesError("need at least one estimated direction to beamform")
-    delays = np.array([p[0] for p in paths], dtype=float)
-    n_i = np.array(pattern.indices)
-    phase = np.exp(2j * np.pi * np.outer(cfg.delta_F + n_i * cfg.delta_f, delays))
-
-    def steering(angles):  # M x L, column l equal to model.steering_vector bit for bit
-        nu = wrap_unit(cfg.d_over_lambda * np.sin(np.array(angles, dtype=float)))
-        return np.exp(2j * np.pi * cfg.antenna_indices[:, None] * nu)
-
-    bf = steering([p[1] for p in paths]).conj().T @ steering(beam_angles)  # bf[l, j]
+    mus, nus = np.array(paths, dtype=float).reshape(-1, 2).T
+    D, A = ramp_matrices(cfg, mus, nus)
+    phase = D[np.array(pattern.indices) + cfg.N // 2] * offset_phases(cfg, mus)
+    bf = A.conj().T @ ramp_matrices(cfg, (), beam_nus)[1]  # bf[l, j]
     if btype == "type1":
-        return np.vstack([phase * bf[:, j] for j in range(len(beam_angles))])
+        return np.vstack([phase * bf[:, j] for j in range(len(beam_nus))])
     if btype == "type2":
-        beam = np.arange(pattern.count) % len(beam_angles)
+        beam = np.arange(pattern.count) % len(beam_nus)
         return phase * bf[:, beam].T
     raise ValueError(f"unknown beamforming type {btype!r}")
 
@@ -78,8 +77,8 @@ def build_coefficient_matrix(
     btype: BeamformingType,
 ) -> np.ndarray:
     """Pilot coefficient matrix mapping per-path gains to received pilots: the
-    estimated paths beamed at their own angles.  estimates are (delay, angle)
-    pairs."""
+    estimated paths beamed at their own spatial frequencies.  estimates are
+    the pursuit's (mu, nu) pairs."""
     return _pilot_operator(cfg, pattern, estimates, [e[1] for e in estimates], btype)
 
 
@@ -92,12 +91,12 @@ def simulate_downlink_pilots(
     noise_variance: float,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Received downlink pilots: true paths beamed toward estimated directions,
-    plus circular complex Gaussian noise drawn from rng (required when
-    noise_variance > 0)."""
-    paths = [(p.delay, p.angle) for p in true_paths]
-    gains = np.array([p.gain for p in true_paths], dtype=complex)
-    y = _pilot_operator(cfg, pattern, paths, [e[1] for e in estimates], btype) @ gains
+    """Received downlink pilots: true paths beamed toward the estimated
+    (mu, nu) pairs' spatial frequencies, plus circular complex Gaussian noise
+    drawn from rng (required when noise_variance > 0)."""
+    truth = [normalize_path(cfg, p) for p in true_paths]
+    gains = np.array([p.gain for p in truth], dtype=complex)
+    y = _pilot_operator(cfg, pattern, [(p.mu, p.nu) for p in truth], [e[1] for e in estimates], btype) @ gains
     return add_noise(y, noise_variance, rng)
 
 
@@ -119,11 +118,10 @@ def reconstruct_downlink(
     refined_gains: Sequence[complex],
     estimates: Sequence[Tuple[float, float]],
 ) -> np.ndarray:
-    """Downlink channel from refined gains and uplink-derived delays/angles."""
+    """Downlink channel sum_l g_l exp(j*2*pi*delta_F*mu_l/delta_f) u(mu_l, nu_l)
+    from per-path gains and the uplink-derived (mu, nu) pairs."""
     if len(refined_gains) != len(estimates):
         raise ValueError("gain/estimate length mismatch")
-    paths = [
-        PathComponent(gain=complex(g), delay=tau, angle=theta)
-        for g, (tau, theta) in zip(refined_gains, estimates)
-    ]
-    return synthesize_downlink(cfg, paths)
+    mus, nus = np.array(estimates, dtype=float).reshape(-1, 2).T
+    D, A = ramp_matrices(cfg, mus, nus)
+    return ((D * (np.asarray(refined_gains) * offset_phases(cfg, mus))) @ A.T).ravel()

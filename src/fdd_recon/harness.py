@@ -23,7 +23,7 @@ from .downlink import (
     simulate_downlink_pilots,
 )
 from .model import add_noise, synthesize_downlink, synthesize_from_normalized, synthesize_uplink
-from .nomp import NompConfig, StoppingRule, nomp_extract
+from .nomp import NompConfig, StoppingRule, ls_gain_single, nomp_extract
 
 MSE_FLOOR_DB = -120.0
 
@@ -51,6 +51,10 @@ class SparseTwoPath:
 
     delay_spread_fraction: float = 1.0 / 16.0  # window as a fraction of 1/delta_f
 
+    def __post_init__(self):
+        if not 0 < self.delay_spread_fraction <= 1:
+            raise ValueError(f"delay_spread_fraction must lie in (0, 1], got {self.delay_spread_fraction}")
+
 
 @dataclass(frozen=True)
 class Cluster:
@@ -63,7 +67,8 @@ class Cluster:
 
 @dataclass(frozen=True)
 class EqualPowerGrid:
-    """Equal-power paths with minimum wrapped separations in both coordinates."""
+    """Equal-power paths with minimum wrapped separations in both coordinates;
+    mu is uniform on [0, 1) and nu on the visible arc |nu| <= d/lambda."""
 
     count: int = 15
     min_sep_mu: float | None = None  # default 1/N
@@ -94,6 +99,8 @@ def generate_scenario(
     which fixes the per-subcarrier per-antenna SNR under unit noise.
     """
     if isinstance(spec, Custom):
+        for p in spec.paths:
+            p.validate(cfg)
         return list(spec.paths)
 
     if isinstance(spec, SparseTwoPath):
@@ -112,14 +119,14 @@ def generate_scenario(
         count = spec.count
         sep_mu = 1.0 / cfg.N if spec.min_sep_mu is None else spec.min_sep_mu
         sep_nu = 1.0 / cfg.M if spec.min_sep_nu is None else spec.min_sep_nu
-        if count * sep_mu >= 1.0 or count * sep_nu >= 1.0:
+        d = cfg.d_over_lambda
+        if count * sep_mu >= 1.0 or count * sep_nu >= 2 * d:
             raise InfeasibleSeparationError(
-                f"{count} paths cannot keep separations ({sep_mu}, {sep_nu}) on the unit torus"
+                f"{count} paths cannot keep separations ({sep_mu}, {sep_nu}) on the visible torus"
             )
-        mus: List[float] = []
-        nus: List[float] = []
+        drawn: List[Tuple[float, float, float]] = []  # (mu, nu, arc)
         attempts = 0
-        while len(mus) < count:
+        while len(drawn) < count:
             attempts += 1
             if attempts > 100_000:
                 # rejection sampling can stall when the exclusion intervals of
@@ -128,15 +135,17 @@ def generate_scenario(
                     f"could not place {count} paths with separations ({sep_mu}, {sep_nu})"
                 )
             mu, nu = rng.uniform(), rng.uniform()
-            if all(wrapped_dist(mu, m) >= sep_mu for m in mus) and all(
-                wrapped_dist(nu, v) >= sep_nu for v in nus
+            # only |nu| <= d is visible; arc is nu's place on that arc with its ends joined, scaled
+            # to [0, 1) (nu itself at d = 1/2), and separating along it keeps nu uniform on [-d, d]
+            arc = (nu if nu <= d else nu - (1.0 - 2 * d)) / (2 * d)
+            if wrapped_dist(nu, 0.0) <= d and all(
+                wrapped_dist(mu, m) >= sep_mu and wrapped_dist(arc, a) >= sep_nu / (2 * d) for m, _, a in drawn
             ):
-                mus.append(mu)
-                nus.append(nu)
+                drawn.append((mu, nu, arc))
         amp = np.sqrt(total_power / count)
         return [
             denormalize_path(cfg, NormalizedPath(amp * _random_phase(rng), mu, nu))
-            for mu, nu in zip(mus, nus)
+            for mu, nu, _ in drawn
         ]
     else:
         raise TypeError(f"unknown scenario spec {spec!r}")
@@ -412,17 +421,15 @@ def run_phase_error_experiment(
         path = generate_scenario(cfg, SparseTwoPath(), rng, total_power=snr)[0]
         lo, hi = offset_delay_product_range
         delta_tau = rng.uniform(lo, hi) / cfg.delta_F * rng.choice([-1.0, 1.0])
-        tau_hat = np.clip(path.delay + delta_tau, 0.0, (1.0 - 1e-12) / cfg.delta_f)
-        estimates = [(float(tau_hat), path.angle)]
+        # mu of the erroneous delay, which stays in [0, 1/delta_f)
+        mu_hat = float(np.clip(cfg.delta_f * (path.delay + delta_tau), 0.0, 1.0 - 1e-12))
+        estimates = [(mu_hat, normalize_path(cfg, path).nu)]
 
         h_ul = synthesize_uplink(cfg, [path])
         h_dl = synthesize_downlink(cfg, [path])
 
         # direct inference: uplink LS gain at the erroneous delay, reused downlink
-        npath_hat = normalize_path(cfg, PathComponent(1.0, float(tau_hat), path.angle))
-        u_hat = synthesize_from_normalized(cfg, [NormalizedPath(1.0, npath_hat.mu, npath_hat.nu)])
-        g_ul = complex(np.vdot(u_hat, h_ul) / cfg.size)
-        h_direct = reconstruct_downlink(cfg, [g_ul], estimates)
+        h_direct = reconstruct_downlink(cfg, [ls_gain_single(cfg, h_ul, *estimates[0])], estimates)
 
         # refined: downlink beamformed pilots, LS gain re-fit
         y_dl = simulate_downlink_pilots(cfg, [path], estimates, "type1", pattern, 1.0, rng)
@@ -476,10 +483,9 @@ def genie_covariance(cfg: SystemConfig, scenario: ScenarioSpec) -> KroneckerCova
     """
     k_mu, k_nu, d = np.arange(cfg.N), np.arange(cfg.M), cfg.d_over_lambda
     if isinstance(scenario, EqualPowerGrid):
-        # each path's (mu, nu) is uniform on the torus; denormalize_path clips
-        # nu in [-0.5, 0.5) to [-d, d], a point mass of 0.5 - d at either end
+        # each path's mu is uniform on [0, 1) and its nu uniform on [-d, d]
         mu_cf = (k_mu == 0).astype(complex)
-        nu_cf = 2 * d * np.sinc(2 * d * k_nu) + (1 - 2 * d) * np.cos(2 * np.pi * d * k_nu)
+        nu_cf = np.sinc(2 * d * k_nu)
         return KroneckerCovariance(_hermitian_toeplitz(mu_cf), _hermitian_toeplitz(nu_cf))
     # Gauss-Legendre on [-1, 1]; this many nodes is exact to round-off for d <= 1/2
     t, w = np.polynomial.legendre.leggauss(4 * cfg.M + 32)
@@ -528,12 +534,12 @@ def run_reconstruction_experiment(
         h_ul = synthesize_uplink(cfg, paths)
         h_dl = synthesize_downlink(cfg, paths)
         detected = nomp_extract(add_noise(h_ul, 1.0, rng), cfg, nomp_cfg).paths
-        dl_paths = [denormalize_path(cfg, p) for p in detected]
-        estimates = [(p.delay, p.angle) for p in dl_paths]
+        estimates = [(p.mu, p.nu) for p in detected]
+        h_direct = reconstruct_downlink(cfg, [p.gain for p in detected], estimates)
 
         out: Dict[str, float] = {
             "uplink_recon": mse_linear(synthesize_from_normalized(cfg, detected), h_ul, cfg.M),
-            "direct_inference": mse_linear(synthesize_downlink(cfg, dl_paths), h_dl, cfg.M),
+            "direct_inference": mse_linear(h_direct, h_dl, cfg.M),
             # without estimates, or when flagged, the reconstruction is zero
             "downlink_recon": mse_linear(np.zeros_like(h_dl), h_dl, cfg.M),
             "flagged": 0,

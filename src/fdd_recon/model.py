@@ -68,15 +68,15 @@ def synthesize_uplink(cfg: SystemConfig, paths: Sequence[PathComponent]) -> np.n
     return synthesize_from_normalized(cfg, [normalize_path(cfg, p) for p in paths])
 
 
+def offset_phases(cfg: SystemConfig, mus) -> np.ndarray:
+    """Carrier-offset phases exp(j*2*pi*delta_F*tau) at tau = mu/delta_f, tau in [0, 1/delta_f)."""
+    return np.exp(2j * np.pi * (cfg.delta_F / cfg.delta_f) * (np.asarray(mus, dtype=float) % 1.0))
+
+
 def synthesize_downlink(cfg: SystemConfig, paths: Sequence[PathComponent]) -> np.ndarray:
-    """Like synthesize_uplink but with the per-path carrier-offset phase
-    exp(j*2*pi*delta_F*tau)."""
-    h = np.zeros(cfg.size, dtype=complex)
-    for p in paths:
-        np_ = normalize_path(cfg, p)
-        phase = np.exp(2j * np.pi * cfg.delta_F * p.delay)
-        h += p.gain * phase * atom(cfg, np_.mu, np_.nu)
-    return h
+    """Like synthesize_uplink but with each path's carrier-offset phase."""
+    n = [normalize_path(cfg, p) for p in paths]
+    return synthesize_from_normalized(cfg, [replace(p, gain=p.gain * offset_phases(cfg, p.mu)) for p in n])
 
 
 def synthesize_siso(cfg: SystemConfig, paths: Sequence[PathComponent]) -> np.ndarray:

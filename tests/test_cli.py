@@ -112,6 +112,26 @@ class TestRun:
         assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["M", "N", "K"])
+    @pytest.mark.parametrize("value", [2.5, True, "4"])
+    def test_non_integer_system_fields_exit2(self, tmp_path, key, value, capsys):
+        out = tmp_path / "o"
+        config = dict(BASE_CONFIG, system=dict(BASE_CONFIG["system"], **{key: value}))
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_CONFIG
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_delay_window_beyond_symbol_exit2(self, tmp_path):
+        out = tmp_path / "o"
+        config = {
+            "experiment": "reconstruction",
+            "system": {"M": 2, "N": 16},
+            "scenario": {"kind": "sparse_two_path", "delay_spread_fraction": 2.0},
+            "trials": 1,
+        }
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_integral_float_fields_accepted(self, tmp_path):
         out = tmp_path / "o"
         config = dict(BASE_CONFIG, trials=2.0, seed=9.0)

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdd_recon import (
     PathComponent,
     SystemConfig,
+    atom,
     build_coefficient_matrix,
     reconstruct_downlink,
     refine_gains,
     simulate_downlink_pilots,
     synthesize_downlink,
 )
+from fdd_recon.config import normalize_path
 from fdd_recon.downlink import EmptyEstimatesError, PilotPattern
 from fdd_recon.nomp import RankDeficientError
 
@@ -18,6 +22,11 @@ def make_cfg(**kw):
     defaults = dict(M=4, N=16, delta_f=75e3, delta_F=300e6)
     defaults.update(kw)
     return SystemConfig(**defaults)
+
+
+def mu_nu(cfg, estimates):
+    """The (mu, nu) pairs of physical (delay, angle) estimates."""
+    return [(n.mu, n.nu) for n in (normalize_path(cfg, PathComponent(1.0, *e)) for e in estimates)]
 
 
 class TestPilotPattern:
@@ -45,7 +54,7 @@ class TestCoefficientMatrix:
         pat = PilotPattern.from_config(cfg)
         tau, theta = 2e-6, 0.4
         for btype in ("type1", "type2"):
-            A = build_coefficient_matrix(cfg, pat, [(tau, theta)], btype)
+            A = build_coefficient_matrix(cfg, pat, mu_nu(cfg, [(tau, theta)]), btype)
             expected = cfg.M * np.exp(
                 2j * np.pi * (cfg.delta_F + np.array(pat.indices) * cfg.delta_f) * tau
             )
@@ -54,7 +63,7 @@ class TestCoefficientMatrix:
     def test_dimension_contract(self):
         cfg = make_cfg(N=8, K=4)  # Np = 2
         pat = PilotPattern.from_config(cfg)
-        ests = [(1e-6, 0.1), (3e-6, -0.5)]
+        ests = mu_nu(cfg, [(1e-6, 0.1), (3e-6, -0.5)])
         assert build_coefficient_matrix(cfg, pat, ests, "type1").shape == (4, 2)
         assert build_coefficient_matrix(cfg, pat, ests, "type2").shape == (2, 2)
 
@@ -64,7 +73,7 @@ class TestCoefficientMatrix:
         # nu values 0 and 1/4 are on the DFT angle grid -> a^H a' = 0
         theta0 = 0.0
         theta1 = float(np.arcsin((1 / 4) / cfg.d_over_lambda))
-        A = build_coefficient_matrix(cfg, pat, [(1e-6, theta0), (2e-6, theta1)], "type1")
+        A = build_coefficient_matrix(cfg, pat, mu_nu(cfg, [(1e-6, theta0), (2e-6, theta1)]), "type1")
         n_p = pat.count
         # block j=0: column 1 (other path) must vanish; block j=1: column 0
         assert np.abs(A[:n_p, 1]).max() <= 1e-9 * cfg.M
@@ -79,7 +88,7 @@ class TestSimulatePilots:
             PathComponent(1.0 + 0.5j, 2e-6, 0.3),
             PathComponent(-0.7j, 5e-6, -0.4),
         ]
-        ests = [(p.delay, p.angle) for p in paths]
+        ests = mu_nu(cfg, [(p.delay, p.angle) for p in paths])
         for btype in ("type1", "type2"):
             y = simulate_downlink_pilots(cfg, paths, ests, btype, pat, 0.0)
             A = build_coefficient_matrix(cfg, pat, ests, btype)
@@ -89,7 +98,7 @@ class TestSimulatePilots:
         cfg = make_cfg()
         pat = PilotPattern.from_config(cfg)
         rng = np.random.default_rng(0)
-        y = simulate_downlink_pilots(cfg, [], [(1e-6, 0.2)], "type2", pat, 1.0, rng)
+        y = simulate_downlink_pilots(cfg, [], mu_nu(cfg, [(1e-6, 0.2)]), "type2", pat, 1.0, rng)
         assert y.shape == (pat.count,)
         assert np.linalg.norm(y) > 0
 
@@ -97,7 +106,7 @@ class TestSimulatePilots:
         cfg = make_cfg()
         pat = PilotPattern.from_config(cfg)
         paths = [PathComponent(1.0, 2e-6, 0.3)]
-        ests = [(2.1e-6, 0.28)]
+        ests = mu_nu(cfg, [(2.1e-6, 0.28)])
         y1 = simulate_downlink_pilots(cfg, paths, ests, "type1", pat, 0.0)
         y2 = simulate_downlink_pilots(cfg, paths, ests, "type2", pat, 0.0)
         np.testing.assert_allclose(y1, y2, rtol=1e-12)
@@ -108,7 +117,7 @@ class TestSimulatePilots:
         cfg = make_cfg()
         pat = PilotPattern.from_config(cfg)
         paths = [PathComponent(1.0 + 0.5j, 2e-6, 0.3), PathComponent(-0.7j, 5e-6, -0.4)]
-        ests = [(2.1e-6, 0.28), (4.9e-6, -0.41)]
+        ests = mu_nu(cfg, [(2.1e-6, 0.28), (4.9e-6, -0.41)])
         for btype in ("type1", "type2"):
             clean = simulate_downlink_pilots(cfg, paths, ests, btype, pat, 0.0)
             ref = np.random.default_rng(11)
@@ -122,7 +131,7 @@ class TestSimulatePilots:
         cfg = make_cfg()
         pat = PilotPattern.from_config(cfg)
         with pytest.raises(ValueError, match="generator"):
-            simulate_downlink_pilots(cfg, [], [(1e-6, 0.2)], "type1", pat, 1.0)
+            simulate_downlink_pilots(cfg, [], mu_nu(cfg, [(1e-6, 0.2)]), "type1", pat, 1.0)
 
 
 def triple_loop_pilots(cfg, pattern, true_paths, estimates, btype):
@@ -161,9 +170,32 @@ class TestPilotOperatorReference:
         ]
         # estimates that differ from the truth in number, delay and angle
         estimates = [(float(rng.uniform(0, 1 / cfg.delta_f)), float(rng.uniform(-1.4, 1.4))) for _ in range(2)]
-        y = simulate_downlink_pilots(cfg, true_paths, estimates, btype, pat, 0.0)
+        y = simulate_downlink_pilots(cfg, true_paths, mu_nu(cfg, estimates), btype, pat, 0.0)
         ref = triple_loop_pilots(cfg, pat, true_paths, estimates, btype)
         assert y.shape == ref.shape == ((2 if btype == "type1" else 1) * pat.count,)
+        np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-10 * cfg.M)
+
+
+    @given(
+        d=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        btype=st.sampled_from(["type1", "type2"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_simulator_matches_triple_loop_at_any_spacing(self, d, seed, btype):
+        cfg = make_cfg(M=5, N=32, K=2, d_over_lambda=d)
+        pat = PilotPattern.from_config(cfg)
+        rng = np.random.default_rng(seed)
+        true_paths = [
+            PathComponent(complex(rng.standard_normal(), rng.standard_normal()),
+                          float(rng.uniform(0, 1 / cfg.delta_f)), float(rng.uniform(-np.pi / 2, np.pi / 2)))
+            for _ in range(3)
+        ]
+        estimates = [
+            (float(rng.uniform(0, 1 / cfg.delta_f)), float(rng.uniform(-np.pi / 2, np.pi / 2))) for _ in range(2)
+        ]
+        y = simulate_downlink_pilots(cfg, true_paths, mu_nu(cfg, estimates), btype, pat, 0.0)
+        ref = triple_loop_pilots(cfg, pat, true_paths, estimates, btype)
         np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-10 * cfg.M)
 
 
@@ -171,7 +203,7 @@ class TestRefineGains:
     def test_noiseless_consistent_system(self):
         cfg = make_cfg()
         pat = PilotPattern.from_config(cfg)
-        ests = [(1e-6, 0.1), (4e-6, -0.7)]
+        ests = mu_nu(cfg, [(1e-6, 0.1), (4e-6, -0.7)])
         A = build_coefficient_matrix(cfg, pat, ests, "type1")
         g0 = np.array([1.5 - 1j, 0.3 + 0.2j])
         np.testing.assert_allclose(refine_gains(A, A @ g0), g0, rtol=1e-9)
@@ -188,7 +220,7 @@ class TestRefineGains:
         cfg = make_cfg()
         pat = PilotPattern.from_config(cfg)
         rng = np.random.default_rng(2)
-        ests = [(1e-6, 0.1), (4e-6, -0.7), (7e-6, 0.9)]
+        ests = mu_nu(cfg, [(1e-6, 0.1), (4e-6, -0.7), (7e-6, 0.9)])
         A = build_coefficient_matrix(cfg, pat, ests, "type1")
         y = A @ np.array([1.0, -1j, 0.5]) + 0.1 * (
             rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
@@ -199,7 +231,7 @@ class TestRefineGains:
     def test_underdetermined_type2_raises(self):
         cfg = make_cfg(N=8, K=4)  # Np = 2 pilots
         pat = PilotPattern.from_config(cfg)
-        ests = [(1e-6, 0.1), (2e-6, 0.2), (3e-6, 0.3)]  # 3 paths > 2 pilots
+        ests = mu_nu(cfg, [(1e-6, 0.1), (2e-6, 0.2), (3e-6, 0.3)])  # 3 paths > 2 pilots
         A = build_coefficient_matrix(cfg, pat, ests, "type2")
         with pytest.raises(RankDeficientError):
             refine_gains(A, np.zeros(A.shape[0], dtype=complex))
@@ -213,13 +245,24 @@ class TestReconstruction:
             PathComponent(1.0 + 0.5j, 2e-6, 0.3),
             PathComponent(-0.7j, 5e-6, -0.4),
         ]
-        ests = [(p.delay, p.angle) for p in paths]
+        ests = mu_nu(cfg, [(p.delay, p.angle) for p in paths])
         y = simulate_downlink_pilots(cfg, paths, ests, "type1", pat, 0.0)
         A = build_coefficient_matrix(cfg, pat, ests, "type1")
         gains = refine_gains(A, y)
         h = reconstruct_downlink(cfg, gains, ests)
         h_true = synthesize_downlink(cfg, paths)
         np.testing.assert_allclose(h, h_true, rtol=1e-9)
+
+    def test_spatial_frequency_beyond_spacing_kept(self):
+        # at d/lambda = 0.25, nu = 0.4 has no angle; the estimate is used as it is
+        cfg = make_cfg(d_over_lambda=0.25)
+        ests = [(0.15, 0.4), (0.7, 0.1)]
+        gains = [1.0 - 0.5j, 0.3j]
+        expected = sum(
+            g * np.exp(2j * np.pi * cfg.delta_F * mu / cfg.delta_f) * atom(cfg, mu, nu)
+            for g, (mu, nu) in zip(gains, ests)
+        )
+        np.testing.assert_allclose(reconstruct_downlink(cfg, gains, ests), expected, rtol=1e-10, atol=1e-10)
 
     def test_empty_estimates_zero_vector(self):
         cfg = make_cfg()
@@ -228,7 +271,7 @@ class TestReconstruction:
     def test_feedback_payload_is_l_hat(self):
         cfg = make_cfg(M=8, N=32)
         pat = PilotPattern.from_config(cfg)
-        ests = [(1e-6, 0.1), (4e-6, -0.7), (7e-6, 0.9)]
+        ests = mu_nu(cfg, [(1e-6, 0.1), (4e-6, -0.7), (7e-6, 0.9)])
         A = build_coefficient_matrix(cfg, pat, ests, "type1")
         gains = refine_gains(A, A @ np.ones(3))
         assert gains.shape == (3,)
@@ -240,7 +283,7 @@ class TestReconstruction:
         h_true = synthesize_downlink(cfg, [path])
         for prod in (0.1, 0.25, 0.5):
             delta_tau = prod / cfg.delta_F
-            ests = [(path.delay + delta_tau, path.angle)]
+            ests = mu_nu(cfg, [(path.delay + delta_tau, path.angle)])
             # direct inference keeps the uplink gain
             direct = reconstruct_downlink(cfg, [path.gain], ests)
             y = simulate_downlink_pilots(cfg, [path], ests, "type1", pat, 0.0)

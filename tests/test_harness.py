@@ -69,8 +69,9 @@ class TestScenarios:
         assert len({p.angle for p in paths}) == 1
         assert len({p.delay for p in paths}) == 1
 
-    def test_equal_power_grid_separations(self):
-        cfg = cfg_mn(16, 64)
+    @pytest.mark.parametrize("d_over_lambda", [0.5, 0.25])
+    def test_equal_power_grid_separations(self, d_over_lambda):
+        cfg = cfg_mn(16, 64, d_over_lambda=d_over_lambda)
         spec = EqualPowerGrid(count=6)
         for seed in range(5):
             paths = generate_scenario(cfg, spec, np.random.default_rng(seed))
@@ -84,6 +85,29 @@ class TestScenarios:
         cfg = cfg_mn(4, 8)
         with pytest.raises(InfeasibleSeparationError):
             generate_scenario(cfg, EqualPowerGrid(count=9), np.random.default_rng(0))
+
+    def test_separation_feasible_on_visible_arc_only(self):
+        # 5 paths 1/8 apart fit on the unit circle but not on the arc |nu| <= 0.25
+        generate_scenario(cfg_mn(8, 32), EqualPowerGrid(count=5), np.random.default_rng(0))
+        with pytest.raises(InfeasibleSeparationError):
+            generate_scenario(cfg_mn(8, 32, d_over_lambda=0.25), EqualPowerGrid(count=5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5, 2.0])
+    def test_sparse_two_path_window_checked(self, fraction):
+        with pytest.raises(ValueError, match="delay_spread_fraction"):
+            SparseTwoPath(delay_spread_fraction=fraction)
+
+    def test_sparse_two_path_full_window_delays_in_range(self):
+        cfg = cfg_mn(4, 16)
+        for seed in range(20):
+            for p in generate_scenario(cfg, SparseTwoPath(delay_spread_fraction=1.0), np.random.default_rng(seed)):
+                p.validate(cfg)
+
+    def test_custom_delays_validated(self):
+        cfg = cfg_mn(4, 8)
+        for delay in (-1e-9, 1.0 / cfg.delta_f, 2.0 / cfg.delta_f):
+            with pytest.raises(ValueError, match="delay"):
+                generate_scenario(cfg, Custom((PathComponent(1.0, delay, 0.2),)), np.random.default_rng(0))
 
     def test_custom_passthrough(self):
         cfg = cfg_mn(4, 8)

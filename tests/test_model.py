@@ -17,7 +17,7 @@ from fdd_recon import (
     synthesize_siso,
     synthesize_uplink,
 )
-from fdd_recon.config import wrap_unit
+from fdd_recon.config import wrap_unit, wrapped_dist
 from fdd_recon.model import _phase_slopes, ramp_matrices
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -37,6 +37,16 @@ class TestSystemConfig:
             SystemConfig(M=4, N=8, d_over_lambda=0.7)
         with pytest.raises(ValueError):
             SystemConfig(M=4, N=8, K=0)
+
+    @pytest.mark.parametrize("field", ["M", "N", "K"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SystemConfig(**dict(dict(M=4, N=8), **{field: value}))
+
+    def test_numpy_integers_accepted(self):
+        cfg = SystemConfig(M=np.int64(4), N=np.int32(8), K=np.int16(2))
+        assert cfg.size == 32
 
     def test_index_ranges(self):
         cfg = cfg_mn(4, 7)
@@ -210,6 +220,27 @@ class TestNormalization:
         back = normalize_path(cfg, denormalize_path(cfg, npath))
         assert abs(back.mu - mu) <= 1e-12 or abs(abs(back.mu - mu) - 1.0) <= 1e-12
         assert abs(back.nu - nu) <= 1e-12 or abs(abs(back.nu - nu) - 1.0) <= 1e-12
+
+    @given(d=st.floats(min_value=0.0, max_value=0.5, exclude_min=True), mu=unit, nu=unit)
+    @settings(max_examples=200)
+    def test_round_trip_or_invisible(self, d, mu, nu):
+        # |nu| after unwrapping into [-0.5, 0.5) is nu's wrapped distance from 0
+        cfg = cfg_mn(4, 8, d_over_lambda=d)
+        npath = NormalizedPath(1.0, mu, nu)
+        if wrapped_dist(nu, 0.0) > d:
+            with pytest.raises(ValueError, match="invisible"):
+                denormalize_path(cfg, npath)
+            return
+        back = normalize_path(cfg, denormalize_path(cfg, npath))
+        assert wrapped_dist(back.mu, mu) <= 1e-12
+        assert wrapped_dist(back.nu, nu) <= 1e-12
+
+    def test_invisible_nu_is_not_clipped(self):
+        cfg = cfg_mn(4, 8, d_over_lambda=0.25)
+        with pytest.raises(ValueError, match="invisible"):
+            denormalize_path(cfg, NormalizedPath(1.0, 0.1, 0.4))
+        edge = denormalize_path(cfg, NormalizedPath(1.0, 0.1, 0.75))
+        assert edge.angle == -np.pi / 2
 
     def test_denormalized_angle_in_front_half(self):
         cfg = cfg_mn(4, 8)
