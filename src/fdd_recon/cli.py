@@ -1,6 +1,6 @@
 # Configuration-driven experiment runner.
 #
-#   fdd-recon run <config.json> [--out DIR] [--trials N] [--seed S] [--threads T]
+#   fdd-recon run <config.json> [--out DIR] [--trials N] [--seed S] [--threads W]
 #   fdd-recon verify <report.json>
 #
 # Outputs: report.json (full provenance), curves.csv (one row per sweep point
@@ -58,6 +58,15 @@ def _int_field(config: Dict[str, Any], key: str, default: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _worker_count(flag: int | None) -> int:
+    """Trial workers from --threads, else FDD_RECON_THREADS, else 1; a
+    count that is not a positive integer is a config error."""
+    raw = os.environ.get("FDD_RECON_THREADS", "1") if flag is None else str(flag)
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"--threads / FDD_RECON_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _parse_system(obj: Dict[str, Any]) -> SystemConfig:
@@ -273,11 +282,10 @@ def _cmd_run(args) -> int:
         config["trials"] = args.trials
     if args.seed is not None:
         config["seed"] = args.seed
-    threads = args.threads or int(os.environ.get("FDD_RECON_THREADS", "1"))
     out_dir = Path(args.out or config.get("output", {}).get("dir", "results"))
 
     try:
-        report = run_from_config(config, out_dir, threads)
+        report = run_from_config(config, out_dir, _worker_count(args.threads))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -313,7 +321,13 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=None, help="output directory (default: results)")
     p_run.add_argument("--trials", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="trial workers: this process plus forked copies, each pinned to one CPU; "
+        "reports are bit-identical at any count (default: FDD_RECON_THREADS, else 1)",
+    )
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="check the embedded config hash of a report")

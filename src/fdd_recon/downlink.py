@@ -93,7 +93,10 @@ def simulate_downlink_pilots(
 ) -> np.ndarray:
     """Received downlink pilots: true paths beamed toward the estimated
     (mu, nu) pairs' spatial frequencies, plus circular complex Gaussian noise
-    drawn from rng (required when noise_variance > 0)."""
+    drawn from rng (required when noise_variance > 0).  A true delay outside
+    [0, 1/delta_f) raises ValueError, as in synthesize_downlink."""
+    for p in true_paths:
+        p.validate(cfg)
     truth = [normalize_path(cfg, p) for p in true_paths]
     gains = np.array([p.gain for p in truth], dtype=complex)
     y = _pilot_operator(cfg, pattern, [(p.mu, p.nu) for p in truth], [e[1] for e in estimates], btype) @ gains

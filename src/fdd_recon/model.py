@@ -74,7 +74,11 @@ def offset_phases(cfg: SystemConfig, mus) -> np.ndarray:
 
 
 def synthesize_downlink(cfg: SystemConfig, paths: Sequence[PathComponent]) -> np.ndarray:
-    """Like synthesize_uplink but with each path's carrier-offset phase."""
+    """Like synthesize_uplink but with each path's carrier-offset phase.  A
+    delay outside [0, 1/delta_f) raises ValueError: wrapped, it would give
+    the phase of another delay."""
+    for p in paths:
+        p.validate(cfg)
     n = [normalize_path(cfg, p) for p in paths]
     return synthesize_from_normalized(cfg, [replace(p, gain=p.gain * offset_phases(cfg, p.mu)) for p in n])
 

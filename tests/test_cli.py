@@ -173,6 +173,25 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_threads_flag_must_be_positive(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        argv = ["run", str(write_config(tmp_path, BASE_CONFIG)), "--out", str(out), "--threads", value]
+        assert main(argv) == EXIT_CONFIG
+        assert "must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", ""])
+    def test_env_threads_must_be_positive(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("FDD_RECON_THREADS", value)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+        # the flag, when given, is the count and the variable is not read
+        assert main(["run", str(cfg_path), "--out", str(out), "--threads", "2"]) == EXIT_OK
+
 
 class TestVerify:
     def test_ok(self, tmp_path):

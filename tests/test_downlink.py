@@ -127,6 +127,13 @@ class TestSimulatePilots:
             y = simulate_downlink_pilots(cfg, paths, ests, btype, pat, 0.7, np.random.default_rng(11))
             np.testing.assert_array_equal(y, expected)
 
+    @pytest.mark.parametrize("delay", [-1e-9, 1.0 / 75e3, 2e-5])
+    def test_true_delay_outside_symbol_rejected(self, delay):
+        cfg = make_cfg()
+        pat = PilotPattern.from_config(cfg)
+        with pytest.raises(ValueError, match="outside"):
+            simulate_downlink_pilots(cfg, [PathComponent(1.0, delay, 0.2)], [(0.1, 0.2)], "type1", pat, 0.0)
+
     def test_noise_requires_generator(self):
         cfg = make_cfg()
         pat = PilotPattern.from_config(cfg)

@@ -1,3 +1,8 @@
+import contextlib
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +17,7 @@ from fdd_recon import (
     InfeasibleSeparationError,
     NompConfig,
     PathComponent,
+    RankDeficientError,
     SparseTwoPath,
     StoppingRule,
     SystemConfig,
@@ -29,7 +35,7 @@ from fdd_recon import (
     synthesize_downlink,
 )
 from fdd_recon.config import NormalizedPath, normalize_path, wrapped_dist
-from fdd_recon.harness import DimensionMismatchError, _sweep, mse_linear
+from fdd_recon.harness import DimensionMismatchError, TrialWorkerError, _map_trials, _sweep, mse_linear
 
 
 def cfg_mn(M, N, **kw):
@@ -314,6 +320,8 @@ class TestExperiments:
         )
         a = run_crb_experiment(cfg, **kw)
         b = run_crb_experiment(cfg, **kw, threads=4)
+        c = run_crb_experiment(cfg, **kw, threads=2)
+        assert (c.curves, c.per_trial_db, c.extras, c.bounds) == (a.curves, a.per_trial_db, a.extras, a.bounds)
         assert isinstance(a, ExperimentReport)
         assert a.curves == b.curves
         assert a.per_trial_db == b.per_trial_db
@@ -378,6 +386,11 @@ class TestExperiments:
             with pytest.raises(ValueError, match="trials"):
                 run()
 
+    @pytest.mark.parametrize("threads", [-1, 0])
+    def test_threads_must_be_positive(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_false_alarm_experiment(cfg_mn(4, 16), 0.1, 4, threads=threads)
+
     def test_cdf_accessor(self):
         cfg = cfg_mn(4, 16)
         rep = run_crb_experiment(
@@ -386,3 +399,79 @@ class TestExperiments:
         x, levels = rep.cdf("eps_mu_db", 0)
         assert len(x) == len(levels) > 0
         assert levels[-1] == 1.0
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging (SIGALRM, main thread only)."""
+
+    def fail(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# the mask before any test maps trials, so that a test can see one leaked by an earlier one
+AFFINITY_AT_IMPORT = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(AFFINITY_AT_IMPORT is None or not hasattr(os, "fork"), reason="forked, pinned workers: Linux")
+class TestTrialWorkers:
+    def test_trial_t_runs_on_worker_t_mod_workers_pinned_to_its_cpu(self):
+        cpus = sorted(AFFINITY_AT_IMPORT)
+        with time_limit(30):
+            out = _map_trials(lambda t: (t, os.getpid(), sorted(os.sched_getaffinity(0))), 7, 3)
+        assert [r[0] for r in out] == list(range(7))
+        assert [r[1] == os.getpid() for r in out] == [t % 3 == 0 for t in range(7)]
+        assert len({r[1] for r in out}) == 3
+        assert [r[2] for r in out] == [[cpus[t % 3 % len(cpus)]] for t in range(7)]
+        assert os.sched_getaffinity(0) == AFFINITY_AT_IMPORT  # the parent's mask is restored
+        assert_no_child_left()
+
+    def test_more_workers_than_trials_and_payloads_over_a_pipe_buffer(self):
+        with time_limit(30):
+            out = _map_trials(lambda t: np.full(1 << 17, t + 0.5), 3, 8)  # 1 MiB per trial
+        assert len(out) == 3
+        for t, r in enumerate(out):
+            np.testing.assert_array_equal(r, np.full(1 << 17, t + 0.5))
+        assert_no_child_left()
+
+    def test_trial_exception_comes_back_with_its_type(self):
+        def trial(t):
+            if t == 3:
+                raise RankDeficientError("duplicate detections", duplicates=[(0, 2)])
+            return t
+
+        with time_limit(30), pytest.raises(RankDeficientError, match="duplicate detections") as info:
+            _map_trials(trial, 6, 2)
+        assert info.value.duplicates == [(0, 2)]
+        assert os.sched_getaffinity(0) == AFFINITY_AT_IMPORT
+        assert_no_child_left()
+
+    def test_worker_that_dies_without_a_result_raises_a_typed_error(self):
+        with time_limit(30), pytest.raises(TrialWorkerError, match="trial worker 1 exited with status 3"):
+            _map_trials(lambda t: os._exit(3) if t == 1 else t, 4, 2)
+        assert_no_child_left()
+
+    def test_parent_failure_while_a_worker_sends_a_large_payload(self):
+        def trial(t):
+            if t == 0:
+                time.sleep(0.5)  # by now worker 1 is blocked on its full pipe
+                raise ValueError("parent-side trial failed")
+            return bytes(1 << 20)
+
+        with time_limit(30), pytest.raises(ValueError, match="parent-side trial failed"):
+            _map_trials(trial, 2, 2)
+        assert os.sched_getaffinity(0) == AFFINITY_AT_IMPORT
+        assert_no_child_left()

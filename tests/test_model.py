@@ -193,6 +193,13 @@ class TestSynthesis:
         h = synthesize_downlink(cfg, [path])
         np.testing.assert_allclose(h, -atom(cfg, npath.mu, npath.nu), atol=1e-9)
 
+    @pytest.mark.parametrize("delay", [-1e-9, 1.0 / 75e3, 2e-5])
+    def test_downlink_rejects_delay_outside_symbol(self, delay):
+        # wrapped, the delay would take the carrier-offset phase of another delay
+        cfg = cfg_mn(2, 4, delta_f=75e3, delta_F=300e6)
+        with pytest.raises(ValueError, match="outside"):
+            synthesize_downlink(cfg, [PathComponent(1.0, 1e-6, 0.4), PathComponent(1.0, delay, 0.1)])
+
     def test_siso_matches_uplink_with_one_antenna(self):
         cfg = cfg_mn(4, 8)
         paths = [PathComponent(1.0, 3e-6, 0.2), PathComponent(0.3j, 7e-6, -0.5)]
