@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -58,6 +59,16 @@ def _int_field(config: Dict[str, Any], key: str, default: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _finite_number(value: Any) -> bool:
+    """True for a finite JSON number; bools and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _worker_count(flag: int | None) -> int:
@@ -227,7 +238,11 @@ def run_from_config(config: Dict[str, Any], out_dir: Path, threads: int) -> Expe
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     seed = _int_field(config, "seed", 0)
-    snr_db = list(config.get("snr_db", [10.0]))
+    snr_db = config.get("snr_db", [10.0])
+    if not isinstance(snr_db, list) or not snr_db or not all(_finite_number(v) for v in snr_db):
+        raise ConfigError(f"snr_db must be a non-empty list of finite numbers, got {snr_db!r}")
+    if "p_fa" in config and not (_finite_number(config["p_fa"]) and 0 < config["p_fa"] < 1):
+        raise ConfigError(f"p_fa must be a number in (0, 1), got {config['p_fa']!r}")
 
     if experiment == "crb":
         scenario = _parse_scenario(dict(config["scenario"])) if "scenario" in config else None

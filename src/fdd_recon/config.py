@@ -84,6 +84,12 @@ def wrapped_dist(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
+def wrapped_dists(a, b) -> np.ndarray:
+    """wrapped_dist elementwise over arrays a and b, broadcast together."""
+    d = np.abs(np.subtract(a, b)) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
 def normalize_path(cfg: SystemConfig, path: PathComponent) -> NormalizedPath:
     mu = wrap_unit(cfg.delta_f * path.delay)
     nu = wrap_unit(cfg.d_over_lambda * np.sin(path.angle))

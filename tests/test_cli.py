@@ -140,6 +140,31 @@ class TestRun:
         assert payload["report"]["trials"] == 2
         assert payload["seed"] == 9
 
+    @pytest.mark.parametrize("value", [1.5, 0, 1, -0.1, True, "abc", None, float("nan"), [0.01]])
+    def test_bad_p_fa_exit2(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        config = {"experiment": "false-alarm", "system": {"M": 2, "N": 8}, "trials": 2, "p_fa": value}
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_CONFIG
+        assert "p_fa must be a number in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value", [[], ["x"], [float("nan")], [float("inf")], [10.0, True], 10, "10", None, {"a": 1}, [10**400]]
+    )
+    def test_bad_snr_db_exit2(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        cfg_path = write_config(tmp_path, dict(BASE_CONFIG, snr_db=value))
+        assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "snr_db must be a non-empty list of finite numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_snr_db_and_p_fa_accepted(self, tmp_path):
+        out = tmp_path / "o"
+        cfg_path = write_config(tmp_path, dict(BASE_CONFIG, snr_db=[20]))
+        assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        config = {"experiment": "false-alarm", "system": {"M": 2, "N": 8}, "trials": 2, "p_fa": 0.5}
+        assert main(["run", str(write_config(tmp_path, config, "fa.json")), "--out", str(out / "fa")]) == EXIT_OK
+
     def test_stale_covariance_draws_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path, dict(BASE_CONFIG, covariance_draws=800))
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

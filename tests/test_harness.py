@@ -241,6 +241,23 @@ class TestMetrics:
         assert levels[-1] == 1.0
 
 
+def loop_match_paths(truth, detected, radius_mu, radius_nu):
+    """Reference: every pair by wrapped_dist, sorted by (dm + dn, i, j), then greedy."""
+    pairs = []
+    for i, t in enumerate(truth):
+        for j, d in enumerate(detected):
+            dm, dn = wrapped_dist(t.mu, d.mu), wrapped_dist(t.nu, d.nu)
+            if dm <= radius_mu and dn <= radius_nu:
+                pairs.append((dm + dn, i, j))
+    used_t, used_d, matches = set(), set(), []
+    for _, i, j in sorted(pairs):
+        if i not in used_t and j not in used_d:
+            matches.append((i, j))
+            used_t.add(i)
+            used_d.add(j)
+    return matches
+
+
 class TestMatchPaths:
     def test_one_to_one_within_radius(self):
         truth = [NormalizedPath(1.0, 0.1, 0.2), NormalizedPath(1.0, 0.5, 0.7)]
@@ -262,6 +279,22 @@ class TestMatchPaths:
         truth = [NormalizedPath(1.0, 0.1, 0.2), NormalizedPath(1.0, 0.105, 0.2)]
         det = [NormalizedPath(1.0, 0.1, 0.2)]
         assert len(match_paths(truth, det, 0.02, 0.02)) == 1
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_pairwise_loop(self, seed):
+        # on a coarse dyadic grid many candidate costs tie exactly, so the
+        # (cost, i, j) order decides; elsewhere the coordinates are arbitrary
+        rng = np.random.default_rng(seed)
+        grid = seed % 2 == 0
+
+        def draw(count):
+            if grid:
+                return [NormalizedPath(1.0, rng.integers(16) / 16, rng.integers(16) / 16) for _ in range(count)]
+            return [NormalizedPath(1.0, rng.uniform(), rng.uniform()) for _ in range(count)]
+
+        truth, det = draw(rng.integers(0, 12)), draw(rng.integers(0, 12))
+        radius_mu, radius_nu = (2 / 16, 3 / 16) if grid else (0.2, 0.3)
+        assert match_paths(truth, det, radius_mu, radius_nu) == loop_match_paths(truth, det, radius_mu, radius_nu)
 
     @given(
         a=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),

@@ -105,6 +105,11 @@ def dense_newton(cfg, r, g, mu, nu):
     return g_new, mu_new, nu_new, True
 
 
+def held_out(cfg, r, g, mu, nu):
+    """The residual r with the path (g, mu, nu) taken out: newton_refine's input."""
+    return r - g * dense_atom(cfg, mu, nu)
+
+
 def dense_cyclic(cfg, y, paths, rounds):
     paths = [NormalizedPath(p.gain, p.mu, p.nu) for p in paths]
     residual = y - sum(p.gain * dense_atom(cfg, p.mu, p.nu) for p in paths)
@@ -181,7 +186,7 @@ class TestDenseOracle:
     def test_newton_refine_values_and_flag(self, M, N, seed):
         cfg = SystemConfig(M=M, N=N)
         r, g, mu, nu = near_path_residual(cfg, np.random.default_rng(seed))
-        *got, applied = newton_refine(cfg, r, g, mu, nu)
+        *got, applied = newton_refine(cfg, held_out(cfg, r, g, mu, nu), g, mu, nu)
         *ref, applied_ref = dense_newton(cfg, r, g, mu, nu)
         assert applied == applied_ref
         # near a path the step is taken, on one coordinate alone when the other
@@ -198,8 +203,9 @@ class TestDenseOracle:
         r = g0 * dense_atom(cfg, mu0, nu0)
         _, hess = dense_grad_hess(cfg, r, -g0, mu0, nu0)
         assert hess[0, 0] > 0.0
-        assert newton_refine(cfg, r, -g0, mu0, nu0) == dense_newton(cfg, r, -g0, mu0, nu0)
-        assert newton_refine(cfg, r, -g0, mu0, nu0) == (-g0, mu0, nu0, False)
+        got = newton_refine(cfg, held_out(cfg, r, -g0, mu0, nu0), -g0, mu0, nu0)
+        assert got == dense_newton(cfg, r, -g0, mu0, nu0)
+        assert got == (-g0, mu0, nu0, False)
 
     @pytest.mark.parametrize("M,N", ORACLE_SIZES)
     @pytest.mark.parametrize("seed", range(2))
@@ -225,6 +231,77 @@ class TestDenseOracle:
             assert_same_path((a.gain, a.mu, a.nu), (b.gain, b.mu, b.nu))
         # the inputs are left untouched
         assert start[0].gain == truth[0].gain * 0.9
+
+
+class TestHeldOutKernel:
+    @pytest.mark.parametrize("M,N", [(1, 1), (1, 8), (7, 1), (3, 5), (4, 8), (32, 128)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_moments_of_the_target_in_closed_form(self, M, N, seed):
+        # |u| = 1, so putting the path g d a^T back adds conj(g) P to the moments
+        cfg = SystemConfig(M=M, N=N)
+        rng = np.random.default_rng(seed)
+        r = make_noise(cfg, rng).reshape(N, M)
+        g = complex(rng.standard_normal() + 1j * rng.standard_normal())
+        d, a = delay_vector(cfg, rng.uniform()), steering_vector(cfg, rng.uniform())
+        k = nomp._kernel(cfg)
+        n, m = 2 * np.pi * cfg.subcarrier_indices, 2 * np.pi * cfg.antenna_indices
+        p = np.array([[np.sum(n**j) * np.sum(m**i) for i in range(3)] for j in range(3)])
+        np.testing.assert_allclose(k.p, p, rtol=1e-14)
+        target = nomp._moments(k, r + g * np.outer(d, a), d, a)
+        assert_close_rel(nomp._moments(k, r, d, a) + np.conj(g) * k.p, target, rel=1e-12)
+
+    def test_fifteen_paths_at_full_size_follow_the_dense_reference(self, monkeypatch):
+        # many accepted steps, each one rank-two update of the held-out residual
+        cfg = SystemConfig(M=32, N=128)
+        rng = np.random.default_rng(3)
+        truth = [
+            NormalizedPath(complex(3.0 * np.exp(2j * np.pi * rng.uniform())), p.mu, p.nu)
+            for p in separated_paths(cfg, 15, rng)
+        ]
+        y = sum(p.gain * dense_atom(cfg, p.mu, p.nu) for p in truth) + make_noise(cfg, rng)
+        start = [
+            NormalizedPath(
+                p.gain * 0.9,
+                float(wrap_unit(p.mu + rng.uniform(-0.3, 0.3) / cfg.N)),
+                float(wrap_unit(p.nu + rng.uniform(-0.3, 0.3) / cfg.M)),
+            )
+            for p in truth
+        ]
+        accepted = Counter()
+
+        def counted(*args, **kwargs):
+            result = newton_refine(*args, **kwargs)
+            accepted[result[3]] += 1
+            return result
+
+        monkeypatch.setattr(nomp, "newton_refine", counted)
+        out = cyclic_refine(cfg, y, start, rounds=3)
+        assert accepted[True] >= 40 and sum(accepted.values()) == 45
+        for a, b in zip(out, dense_cyclic(cfg, y, start, rounds=3)):
+            assert_same_path((a.gain, a.mu, a.nu), (b.gain, b.mu, b.nu))
+
+    @pytest.mark.parametrize("M,N", [(1, 8), (4, 1), (4, 8), (8, 16)])
+    def test_guard_rejected_steps_leave_the_paths_and_residual_alone(self, M, N, monkeypatch):
+        # each path's gain is the negative of its true gain, so every step
+        # sees a local minimum of S and the guard rejects it
+        cfg = SystemConfig(M=M, N=N)
+        truth = [NormalizedPath(1.5 - 0.5j, 1 / 8, 1 / 4), NormalizedPath(-0.8j, 5 / 8, 3 / 4)]
+        y = synthesize_from_normalized(cfg, truth)
+        start = [NormalizedPath(-p.gain, p.mu, p.nu) for p in truth]
+        seen = []
+
+        def spy(cfg, residual, *args, **kwargs):
+            seen.append(np.array(residual))
+            result = newton_refine(cfg, residual, *args, **kwargs)
+            assert not result[3]
+            return result
+
+        monkeypatch.setattr(nomp, "newton_refine", spy)
+        out = cyclic_refine(cfg, y, start, rounds=2)
+        assert [(p.gain, p.mu, p.nu) for p in out] == [(p.gain, p.mu, p.nu) for p in start]
+        assert len(seen) == 4
+        for r in seen[1:]:
+            np.testing.assert_array_equal(r, seen[0])
 
 
 class TestObjective:
@@ -315,8 +392,8 @@ class TestNewtonRefine:
     def test_stationary_point_unchanged(self):
         cfg = SystemConfig(M=4, N=8)
         g0, mu0, nu0 = 1.2 - 0.4j, 0.27, 0.61
-        r = g0 * atom(cfg, mu0, nu0)
-        g, mu, nu, _ = newton_refine(cfg, r, g0, mu0, nu0)
+        # the residual with the path held out is zero
+        g, mu, nu, _ = newton_refine(cfg, np.zeros(cfg.size, dtype=complex), g0, mu0, nu0)
         assert abs(mu - mu0) <= 1e-12
         assert abs(nu - nu0) <= 1e-12
 
@@ -363,7 +440,7 @@ class TestNewtonRefine:
         # is geometric rather than quadratic; five accepted steps suffice
         accepted = 0
         while accepted < 5:
-            g, mu, nu, ok = newton_refine(cfg, y, g, mu, nu)
+            g, mu, nu, ok = newton_refine(cfg, held_out(cfg, y, g, mu, nu), g, mu, nu)
             assert ok
             accepted += 1
         assert abs(mu - truth.mu) <= 1e-8 / cfg.N
@@ -374,7 +451,8 @@ class TestNewtonRefine:
         cfg = SystemConfig(M=1, N=64)
         truth = NormalizedPath(1.5 - 0.5j, 0.1234, 0.0)
         y = synthesize_from_normalized(cfg, [truth])
-        g, mu, nu, ok = newton_refine(cfg, y, ls_gain_single(cfg, y, 0.125, 0.0), 0.125, 0.0)
+        g0 = ls_gain_single(cfg, y, 0.125, 0.0)
+        g, mu, nu, ok = newton_refine(cfg, held_out(cfg, y, g0, 0.125, 0.0), g0, 0.125, 0.0)
         assert ok and nu == 0.0
         assert abs(mu - truth.mu) < abs(0.125 - truth.mu)
         res = nomp_extract(y, cfg, NompConfig())
@@ -469,6 +547,25 @@ class TestUpdateAllGains:
         paths = [NormalizedPath(1.0, 0.3, 0.7), NormalizedPath(1.0, 0.3 + 1e-12, 0.7)]
         with pytest.raises(RankDeficientError):
             update_all_gains(cfg, np.zeros(cfg.size, dtype=complex), paths)
+
+    def test_duplicate_pairs_match_the_pairwise_loop(self):
+        # exact, near (1e-12) and wrapped (1 - 1e-12 against 0) duplicates,
+        # and a pair close in mu alone, which is no duplicate
+        cfg = SystemConfig(M=4, N=8)
+        coords = [(0.3, 0.7), (0.0, 0.5), (0.3 + 1e-12, 0.7), (0.9, 0.1), (1 - 1e-12, 0.5), (0.3, 0.7), (0.3, 0.2)]
+        paths = [NormalizedPath(1.0, mu, nu) for mu, nu in coords]
+        loop = [
+            (i, j)
+            for i in range(len(paths))
+            for j in range(i + 1, len(paths))
+            if wrapped_dist(paths[i].mu, paths[j].mu) < nomp.DUPLICATE_TOL
+            and wrapped_dist(paths[i].nu, paths[j].nu) < nomp.DUPLICATE_TOL
+        ]
+        assert loop == [(0, 2), (0, 5), (1, 4), (2, 5)]
+        with pytest.raises(RankDeficientError) as err:
+            update_all_gains(cfg, np.zeros(cfg.size, dtype=complex), paths)
+        assert err.value.duplicates == loop
+        assert update_all_gains(cfg, np.zeros(cfg.size, dtype=complex), []) == []
 
     def test_duplicates_raise_before_any_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -673,6 +770,9 @@ class TestBoundedPursuit:
         assert res.stop_reason == "stalled"
         assert res.iterations == MAX_ITERATIONS_PER_PATH * 3
         assert len(res.paths) == 1
+        # the duplicate's ramps leave with it: the residual is that of the kept path
+        energy = np.linalg.norm(y - synthesize_from_normalized(cfg, res.paths)) ** 2
+        assert res.residual_energy == pytest.approx(energy, rel=1e-9)
 
     @pytest.mark.parametrize("magnitude", [1e150, 1e300])
     def test_overflow_raises_typed_error(self, magnitude):
