@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from .config import SystemConfig
+from .downlink import PilotPattern
 from .harness import (
     Cluster,
     EqualPowerGrid,
@@ -86,6 +87,15 @@ def _parse_system(obj: Dict[str, Any]) -> SystemConfig:
         return SystemConfig(**obj)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"system: {err}") from err
+
+
+def _pilot_stride(cfg: SystemConfig, K: int) -> int:
+    """K, once it makes a pilot pattern on cfg's N subcarriers."""
+    try:
+        PilotPattern.from_config(cfg, K)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return K
 
 
 def _parse_scenario(obj: Dict[str, Any]):
@@ -259,6 +269,7 @@ def run_from_config(config: Dict[str, Any], out_dir: Path, threads: int) -> Expe
             cfg, float(p_fa), trials, seed=seed, nomp_cfg=nomp_cfg, threads=threads
         )
     elif experiment == "phase-error":
+        _pilot_stride(cfg, cfg.K)
         report = run_phase_error_experiment(cfg, trials, seed=seed, threads=threads)
     else:
         if "scenario" not in config:
@@ -271,7 +282,7 @@ def run_from_config(config: Dict[str, Any], out_dir: Path, threads: int) -> Expe
             cfg,
             scenario,
             btype,
-            _int_field(config, "K", cfg.K),
+            _pilot_stride(cfg, _int_field(config, "K", cfg.K)),
             snr_db,
             trials,
             seed=seed,

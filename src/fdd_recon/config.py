@@ -1,10 +1,20 @@
 # Core system geometry and path parameter containers.
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
+
+
+def check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ValueError unless value is an integer (not a bool) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -25,15 +35,11 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("M", "N", "K"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.M < 1 or self.N < 1:
-            raise ValueError("M and N must be positive integers")
-        if self.delta_f <= 0:
-            raise ValueError("delta_f must be positive")
-        if self.K < 1:
-            raise ValueError("pilot stride K must be >= 1")
+            check_integer(name, getattr(self, name), 1)
+        if not math.isfinite(self.delta_f) or self.delta_f <= 0:
+            raise ValueError(f"delta_f must be positive and finite, got {self.delta_f!r}")
+        if not math.isfinite(self.delta_F):
+            raise ValueError(f"delta_F must be finite, got {self.delta_F!r}")
         if not 0 < self.d_over_lambda <= 0.5:
             raise ValueError("d_over_lambda must lie in (0, 0.5]")
 
@@ -47,7 +53,7 @@ class SystemConfig:
 
     @property
     def size(self) -> int:
-        """Length of the stacked channel vector."""
+        """Number of entries M*N of the N x M channel grid."""
         return self.M * self.N
 
 

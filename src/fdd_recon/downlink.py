@@ -7,7 +7,7 @@ from typing import Literal, Sequence, Tuple
 
 import numpy as np
 
-from .config import PathComponent, SystemConfig, normalize_path
+from .config import PathComponent, SystemConfig, check_integer, normalize_path
 from .model import add_noise, offset_phases, ramp_matrices
 from .nomp import RankDeficientError
 
@@ -24,21 +24,32 @@ class EmptyEstimatesError(ValueError):
 
 @dataclass(frozen=True)
 class PilotPattern:
-    """Comb pilots: every K-th subcarrier, starting at the lowest in-band index."""
+    """Comb pilots on every K-th of N subcarriers, starting at the lowest
+    in-band index; 1 <= K <= N."""
 
     K: int
-    indices: Tuple[int, ...]
+    N: int
+
+    def __post_init__(self):
+        check_integer("pilot stride K", self.K, 1, self.N)
 
     @classmethod
     def from_config(cls, cfg: SystemConfig, K: int | None = None) -> "PilotPattern":
-        K = cfg.K if K is None else K
-        n_p = cfg.N // K
-        start = -(cfg.N // 2)
-        return cls(K=K, indices=tuple(start + K * i for i in range(n_p)))
+        return cls(K=cfg.K if K is None else K, N=cfg.N)
 
     @property
     def count(self) -> int:
-        return len(self.indices)
+        return self.N // self.K
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Rows of the N x M channel grid that carry pilots: indices + N // 2."""
+        return self.K * np.arange(self.count)
+
+    @property
+    def indices(self) -> Tuple[int, ...]:
+        """Pilot subcarrier indices n, from -(N // 2) up."""
+        return tuple(int(r) - self.N // 2 for r in self.rows)
 
 
 def _pilot_operator(
@@ -60,7 +71,7 @@ def _pilot_operator(
         raise EmptyEstimatesError("need at least one estimated direction to beamform")
     mus, nus = np.array(paths, dtype=float).reshape(-1, 2).T
     D, A = ramp_matrices(cfg, mus, nus)
-    phase = D[np.array(pattern.indices) + cfg.N // 2] * offset_phases(cfg, mus)
+    phase = D[pattern.rows] * offset_phases(cfg, mus)
     bf = A.conj().T @ ramp_matrices(cfg, (), beam_nus)[1]  # bf[l, j]
     if btype == "type1":
         return np.vstack([phase * bf[:, j] for j in range(len(beam_nus))])
@@ -121,10 +132,10 @@ def reconstruct_downlink(
     refined_gains: Sequence[complex],
     estimates: Sequence[Tuple[float, float]],
 ) -> np.ndarray:
-    """Downlink channel sum_l g_l exp(j*2*pi*delta_F*mu_l/delta_f) u(mu_l, nu_l)
+    """N x M downlink channel sum_l g_l exp(j*2*pi*delta_F*mu_l/delta_f) u(mu_l, nu_l)
     from per-path gains and the uplink-derived (mu, nu) pairs."""
     if len(refined_gains) != len(estimates):
         raise ValueError("gain/estimate length mismatch")
     mus, nus = np.array(estimates, dtype=float).reshape(-1, 2).T
     D, A = ramp_matrices(cfg, mus, nus)
-    return ((D * (np.asarray(refined_gains) * offset_phases(cfg, mus))) @ A.T).ravel()
+    return (D * (np.asarray(refined_gains) * offset_phases(cfg, mus))) @ A.T

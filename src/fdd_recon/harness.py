@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterable, List, NoReturn, Sequence, Tuple
 
 import numpy as np
 
-from .baselines import KroneckerCovariance, lmmse_filter, ls_estimate, pilot_row_indices
+from .baselines import KroneckerCovariance, lmmse_filter, ls_estimate
 from .bounds import crb
 from .config import (
     NormalizedPath,
@@ -184,23 +184,20 @@ def generate_scenario(
 # metrics
 
 
-def mse_linear(estimate: np.ndarray, truth: np.ndarray, M: int) -> float:
-    """Mean over subcarriers of ||h_hat_n - h_n||^2 / M (noise power per
-    subcarrier across M antennas equals M under unit noise)."""
-    if estimate.shape != truth.shape or estimate.size % M != 0:
-        raise DimensionMismatchError(f"shapes {estimate.shape} vs {truth.shape} with M={M}")
-    diff = (estimate - truth).reshape(-1, M)
-    return float(np.mean(np.sum(np.abs(diff) ** 2, axis=1)) / M)
+def mse_linear(estimate: np.ndarray, truth: np.ndarray) -> float:
+    """Mean over the rows (subcarriers) of two N x M grids of
+    ||h_hat_n - h_n||^2 / M (noise power per subcarrier across M antennas
+    equals M under unit noise)."""
+    if estimate.shape != truth.shape or estimate.ndim != 2:
+        raise DimensionMismatchError(f"expected two N x M grids, got shapes {estimate.shape} and {truth.shape}")
+    diff = estimate - truth
+    return float(np.mean(np.sum(np.abs(diff) ** 2, axis=1)) / diff.shape[1])
 
 
 def to_db(linear: float) -> float:
     if linear <= 10.0 ** (MSE_FLOOR_DB / 10.0):
         return MSE_FLOOR_DB
     return float(10.0 * np.log10(linear))
-
-
-def mse_metric(estimate: np.ndarray, truth: np.ndarray, M: int) -> float:
-    return to_db(mse_linear(estimate, truth, M))
 
 
 def cdf_points(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -469,7 +466,7 @@ def run_false_alarm_experiment(
     nomp_cfg = replace(nomp_cfg or NompConfig(gamma1=2, gamma2=2), stopping=rule)
 
     def trial(_, rng: np.random.Generator) -> int:
-        noise = add_noise(np.zeros(cfg.size, dtype=complex), 1.0, rng)
+        noise = add_noise(np.zeros((cfg.N, cfg.M), dtype=complex), 1.0, rng)
         return 1 if nomp_extract(noise, cfg, nomp_cfg).paths else 0
 
     fakes = sum(_sweep([None], trials, seed, threads, trial)[0])
@@ -544,8 +541,8 @@ def run_phase_error_experiment(
         h_refined = reconstruct_downlink(cfg, g_dl, estimates)
 
         return {
-            "direct_inference": mse_linear(h_direct, h_dl, cfg.M),
-            "refined_reconstruction": mse_linear(h_refined, h_dl, cfg.M),
+            "direct_inference": mse_linear(h_direct, h_dl),
+            "refined_reconstruction": mse_linear(h_refined, h_dl),
         }
 
     sweep = _sweep([10.0 ** (snr_db / 10.0)], trials, seed, threads, trial)
@@ -630,7 +627,6 @@ def run_reconstruction_experiment(
     refine_pattern = PilotPattern.from_config(cfg, K)
     baseline_pattern = PilotPattern.from_config(cfg, 4)
     base_cov = genie_covariance(cfg, scenario)
-    rows = pilot_row_indices(cfg, baseline_pattern)
 
     names = ["ls", "lmmse", "uplink_recon", "downlink_recon", "direct_inference"]
 
@@ -644,10 +640,10 @@ def run_reconstruction_experiment(
         h_direct = reconstruct_downlink(cfg, [p.gain for p in detected], estimates)
 
         out: Dict[str, float] = {
-            "uplink_recon": mse_linear(synthesize_from_normalized(cfg, detected), h_ul, cfg.M),
-            "direct_inference": mse_linear(h_direct, h_dl, cfg.M),
+            "uplink_recon": mse_linear(synthesize_from_normalized(cfg, detected), h_ul),
+            "direct_inference": mse_linear(h_direct, h_dl),
             # without estimates, or when flagged, the reconstruction is zero
-            "downlink_recon": mse_linear(np.zeros_like(h_dl), h_dl, cfg.M),
+            "downlink_recon": mse_linear(np.zeros_like(h_dl), h_dl),
             "flagged": 0,
         }
         if estimates:
@@ -655,13 +651,13 @@ def run_reconstruction_experiment(
                 y_dl = simulate_downlink_pilots(cfg, paths, estimates, btype, refine_pattern, 1.0, rng)
                 A = build_coefficient_matrix(cfg, refine_pattern, estimates, btype)
                 h_rec = reconstruct_downlink(cfg, refine_gains(A, y_dl), estimates)
-                out["downlink_recon"] = mse_linear(h_rec, h_dl, cfg.M)
+                out["downlink_recon"] = mse_linear(h_rec, h_dl)
             except RankDeficientError:
                 out["flagged"] = 1
 
-        y_p = add_noise(h_dl[rows], 1.0, rng)
-        out["ls"] = mse_linear(ls_estimate(y_p, baseline_pattern, cfg), h_dl, cfg.M)
-        out["lmmse"] = mse_linear(W @ y_p, h_dl, cfg.M)
+        y_p = add_noise(h_dl[baseline_pattern.rows], 1.0, rng)
+        out["ls"] = mse_linear(ls_estimate(y_p, baseline_pattern, cfg), h_dl)
+        out["lmmse"] = mse_linear(W @ y_p, h_dl)
         return out
 
     # a generator, so each SNR's LMMSE filter is built just before its trials;

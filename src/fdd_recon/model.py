@@ -1,7 +1,7 @@
-# Synthesis of stacked multi-subcarrier multi-antenna channel vectors.
+# Synthesis of multi-subcarrier multi-antenna channels.
 #
-# The stacked vector is subcarrier-major: element (n, m) lives at flat index
-# (n + floor(N/2)) * M + (m + floor(M/2)).  All phase ramps use the convention
+# A channel is an N x M complex grid: row n + floor(N/2) is subcarrier n and
+# column m + floor(M/2) is antenna m.  All phase ramps use the convention
 # exp(+j*2*pi*index*frequency), applied uniformly to both the synthesizer and
 # the estimator.
 from __future__ import annotations
@@ -40,8 +40,9 @@ def delay_vector(cfg: SystemConfig, mu: float) -> np.ndarray:
 def ramp_matrices(cfg: SystemConfig, mus, nus) -> Tuple[np.ndarray, np.ndarray]:
     """Delay ramps of the mus as the columns of an N x L matrix D and steering
     ramps of the nus as the columns of an M x L matrix A.  Column l equals
-    delay_vector(cfg, mus[l]) (steering_vector(cfg, nus[l])) bit for bit, and
-    D[:, l] (x) A[:, l] is the l-th path's atom."""
+    delay_vector(cfg, mus[l]) (steering_vector(cfg, nus[l])) bit for bit, so
+    outer(D[:, l], A[:, l]) is the l-th path's atom and D diag(g) A^T the
+    N x M channel of paths with gains g."""
     n, m = _phase_slopes(cfg)
     mus = np.asarray(mus, dtype=float) % 1.0
     nus = np.asarray(nus, dtype=float) % 1.0
@@ -49,16 +50,16 @@ def ramp_matrices(cfg: SystemConfig, mus, nus) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def atom(cfg: SystemConfig, mu: float, nu: float) -> np.ndarray:
-    """Dictionary atom: Kronecker product of delay and steering ramps.
+    """Dictionary atom: the N x M outer product of delay and steering ramps.
 
     Unit-modulus entries, so ||atom||^2 == M*N for every (mu, nu).
     """
-    return np.outer(delay_vector(cfg, mu), steering_vector(cfg, nu)).ravel()
+    return np.outer(delay_vector(cfg, mu), steering_vector(cfg, nu))
 
 
 def synthesize_from_normalized(cfg: SystemConfig, paths: Iterable[NormalizedPath]) -> np.ndarray:
-    """Sum of gain-weighted atoms; empty input gives the zero vector."""
-    h = np.zeros(cfg.size, dtype=complex)
+    """Sum of gain-weighted atoms; empty input gives the zero grid."""
+    h = np.zeros((cfg.N, cfg.M), dtype=complex)
     for p in paths:
         h += p.gain * atom(cfg, p.mu, p.nu)
     return h
@@ -83,29 +84,16 @@ def synthesize_downlink(cfg: SystemConfig, paths: Sequence[PathComponent]) -> np
     return synthesize_from_normalized(cfg, [replace(p, gain=p.gain * offset_phases(cfg, p.mu)) for p in n])
 
 
-def synthesize_siso(cfg: SystemConfig, paths: Sequence[PathComponent]) -> np.ndarray:
-    """Single-antenna special case: length-N vector of delay ramps only."""
-    return synthesize_uplink(replace(cfg, M=1), paths)
-
-
-def add_noise(vector: np.ndarray, variance: float, rng: np.random.Generator | None) -> np.ndarray:
+def add_noise(values: np.ndarray, variance: float, rng: np.random.Generator | None) -> np.ndarray:
     """Add i.i.d. circular complex Gaussian noise (variance per complex element)
-    drawn from rng, which may be None only when variance is 0."""
+    drawn from rng, which may be None only when variance is 0.  The draws fill
+    the array's entries in C order, whatever its shape."""
     if variance < 0:
         raise ValueError("variance must be >= 0")
     if variance == 0:
-        return vector
+        return values
     if rng is None:
         raise ValueError("a random generator is required when variance > 0")
     scale = np.sqrt(variance / 2.0)
-    return vector + scale * (rng.standard_normal(vector.shape) + 1j * rng.standard_normal(vector.shape))
+    return values + scale * (rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape))
 
-
-def as_grid(cfg: SystemConfig, vec: np.ndarray) -> np.ndarray:
-    """Reshape a stacked vector to (N, M): rows are subcarriers.  An (N, M)
-    grid is returned as it is."""
-    if vec.shape == (cfg.N, cfg.M):
-        return vec
-    if vec.shape != (cfg.size,):
-        raise ValueError(f"expected length {cfg.size}, got {vec.shape}")
-    return vec.reshape(cfg.N, cfg.M)

@@ -8,8 +8,8 @@ from typing import List, Literal, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .config import NormalizedPath, SystemConfig, wrapped_dists
-from .model import _phase_slopes, as_grid, atom, delay_vector, ramp_matrices, steering_vector
+from .config import NormalizedPath, SystemConfig, check_integer, wrapped_dists
+from .model import _phase_slopes, atom, delay_vector, ramp_matrices, steering_vector
 
 # Not called here: the pursuit rebuilds its residuals from ramp matrices.  The
 # name stays a module attribute because perfbench/tracer.py hooks it.
@@ -39,6 +39,8 @@ class StoppingRule:
     p_fa: float = 0.01
 
     def __post_init__(self):
+        if self.variant not in ("power", "false_alarm"):
+            raise ValueError(f"stopping variant must be 'power' or 'false_alarm', got {self.variant!r}")
         if self.variant == "false_alarm" and not 0.0 < self.p_fa < 1.0:
             raise ValueError("p_fa must lie in (0, 1)")
 
@@ -53,10 +55,10 @@ class NompConfig:
     stopping: StoppingRule = field(default_factory=StoppingRule)
 
     def __post_init__(self):
-        if self.gamma1 < 1 or self.gamma2 < 1:
-            raise ValueError("over-sampling rates must be >= 1")
-        if self.max_paths is not None and self.max_paths < 1:
-            raise ValueError("max_paths must be >= 1")
+        for name, low in (("gamma1", 1), ("gamma2", 1), ("single_refine_rounds", 0), ("cyclic_refine_rounds", 0)):
+            check_integer(name, getattr(self, name), low)
+        if self.max_paths is not None:
+            check_integer("max_paths", self.max_paths, 1)
 
     def resolve_max_paths(self, cfg: SystemConfig) -> int:
         if self.max_paths is not None:
@@ -103,7 +105,7 @@ def _ramps(k: _Kernel, mu: float, nu: float) -> List[np.ndarray]:
 
 def _moments(k: _Kernel, grid: np.ndarray, d: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Q[j, k] = sum_{n,m} conj(r[n, m]) (2*pi*n)^j (2*pi*m)^k u[n, m] on the
-    N x M residual grid; the atom u = d (x) a is never formed.  |u| = 1, so
+    N x M residual grid; the atom u = outer(d, a) is never formed.  |u| = 1, so
     adding g u to the grid adds conj(g) P to Q."""
     return ((k.wn * d.conj()) @ grid * a.conj() @ k.wm).conj()
 
@@ -127,13 +129,13 @@ def objective_S(cfg: SystemConfig, residual: np.ndarray, g: complex, mu: float, 
 def coarse_detect(cfg: SystemConfig, residual: np.ndarray, nomp_cfg: NompConfig) -> Tuple[float, float, float]:
     """Argmax of |u^H r|^2 / ||u||^2 over the over-sampled 2D grid.
 
-    Evaluated with a zero-padded 2D FFT of the residual reshaped to N x M; the
+    Evaluated with a zero-padded 2D FFT of the N x M residual; the
     index-offset phase factors are unimodular so they drop out of the argmax.
     Ties break to the lexicographically smallest (k1, k2).
     """
     g1n = nomp_cfg.gamma1 * cfg.N
     g2m = nomp_cfg.gamma2 * cfg.M
-    spectrum = np.fft.fft2(as_grid(cfg, residual), s=(g1n, g2m))
+    spectrum = np.fft.fft2(residual, s=(g1n, g2m))
     power = np.abs(spectrum) ** 2 / cfg.size
     flat = int(np.argmax(power))  # first occurrence = smallest (k1, k2)
     k1, k2 = divmod(flat, g2m)
@@ -145,15 +147,15 @@ def _ls_gain(cfg: SystemConfig, grid: np.ndarray, d: np.ndarray, a: np.ndarray) 
 
 
 def ls_gain_single(cfg: SystemConfig, residual: np.ndarray, mu: float, nu: float) -> complex:
-    """Scalar LS gain u^H r / ||u||^2; the residual is stacked or an N x M grid."""
-    return _ls_gain(cfg, as_grid(cfg, residual), delay_vector(cfg, mu), steering_vector(cfg, nu))
+    """Scalar LS gain u^H r / ||u||^2 on the N x M residual."""
+    return _ls_gain(cfg, residual, delay_vector(cfg, mu), steering_vector(cfg, nu))
 
 
 def _grad_hess(cfg: SystemConfig, residual: np.ndarray, g: complex, mu: float, nu: float):
     """Analytic gradient and Hessian of S with respect to (mu, nu); the
     residual is S's own, with the path in it."""
     k = _kernel(cfg)
-    g_mu, g_nu, h_mm, h_mn, h_nn = _derivatives(_moments(k, as_grid(cfg, residual), *_ramps(k, mu, nu)), g)
+    g_mu, g_nu, h_mm, h_mn, h_nn = _derivatives(_moments(k, residual, *_ramps(k, mu, nu)), g)
     return np.array([g_mu, g_nu]), np.array([[h_mm, h_mn], [h_mn, h_nn]])
 
 
@@ -168,13 +170,13 @@ def newton_refine(
 ) -> Tuple[complex, float, float, bool]:
     """One joint Newton step on (mu, nu), guarded by local concavity.
 
-    residual is the residual with the path (g, mu, nu) held out, stacked or
-    an N x M grid: the step fits the path to residual + g u(mu, nu).  That
-    sum is never formed.  Its moments are those of the residual plus
-    conj(g) P, and the LS gain at a candidate (mu', nu') with ramps (d', a')
-    is (d'^H R conj(a') + g (d'^H d)(a^T conj(a'))) / MN, so a step reads
-    the N x M grid at most twice and writes nothing to it; a caller that
-    keeps the residual updates it after an accepted step.
+    residual is the N x M residual with the path (g, mu, nu) held out: the
+    step fits the path to residual + g u(mu, nu).  That sum is never formed.
+    Its moments are those of the residual plus conj(g) P, and the LS gain at
+    a candidate (mu', nu') with ramps (d', a') is
+    (d'^H R conj(a') + g (d'^H d)(a^T conj(a'))) / MN, so a step reads the
+    N x M grid at most twice and writes nothing to it; a caller that keeps
+    the residual updates it after an accepted step.
 
     The step is taken only when det(Hess) > 0 and Hess[0,0] < 0, and kept only
     when it does not reduce the objective; otherwise the inputs are returned
@@ -190,11 +192,10 @@ def newton_refine(
     kernel, when given, is _kernel(cfg).
     """
     k = _kernel(cfg) if kernel is None else kernel
-    grid = as_grid(cfg, residual)
     if factors is None:
         factors = _ramps(k, mu, nu)
     d, a = factors
-    q = _moments(k, grid, d, a) + complex(g).conjugate() * k.p
+    q = _moments(k, residual, d, a) + complex(g).conjugate() * k.p
     g_mu, g_nu, h_mm, h_mn, h_nn = _derivatives(q, g)
     if cfg.M > 1 and cfg.N > 1:
         det = h_mm * h_nn - h_mn * h_mn
@@ -214,7 +215,7 @@ def newton_refine(
     nu_new = float((nu - step_nu) % 1.0)
     d_new, a_new = _ramps(k, mu_new, nu_new)
     a_conj = a_new.conj()
-    g_new = complex((np.vdot(d_new, grid @ a_conj) + g * np.vdot(d_new, d) * (a @ a_conj)) / cfg.size)
+    g_new = complex((np.vdot(d_new, residual @ a_conj) + g * np.vdot(d_new, d) * (a @ a_conj)) / cfg.size)
     # S = 2 Re{g r^H u} - |g|^2 M N, which is |g|^2 M N at the LS gain
     s_old = 2.0 * (g * q[0, 0]).real - abs(g) ** 2 * cfg.size
     if abs(g_new) ** 2 * cfg.size < s_old:
@@ -266,10 +267,10 @@ def _stack(factors: Sequence[List[np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]
     return np.column_stack([f[0] for f in factors]), np.column_stack([f[1] for f in factors])
 
 
-def _residual_grid(cfg: SystemConfig, y: np.ndarray, paths: Sequence[NormalizedPath], D: np.ndarray, A: np.ndarray):
-    """The residual Y - (D diag(g)) A^T on the N x M grid, with the paths' delay
-    ramps as the columns of D and steering ramps as those of A."""
-    return as_grid(cfg, y) - (D * [p.gain for p in paths]) @ A.T
+def _residual(y: np.ndarray, paths: Sequence[NormalizedPath], D: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The N x M residual Y - (D diag(g)) A^T, with the paths' delay ramps as
+    the columns of D and steering ramps as those of A."""
+    return y - (D * [p.gain for p in paths]) @ A.T
 
 
 def cyclic_refine(
@@ -299,7 +300,7 @@ def cyclic_refine(
         factors = [[d, a] for d, a in zip(D.T, A.T)]
     else:
         D, A = _stack(factors)
-    _refine_pass(cfg, _residual_grid(cfg, y, paths, D, A), paths, factors, rounds, _kernel(cfg))
+    _refine_pass(cfg, _residual(y, paths, D, A), paths, factors, rounds, _kernel(cfg))
     return paths
 
 
@@ -311,9 +312,9 @@ def update_all_gains(
     With the paths' delay ramps as the columns of D (N x L) and steering ramps
     as those of A (M x L), the atoms' Gram matrix is (D^H D) o (A^H A) and the
     right-hand side is b_l = d_l^H Y conj(a_l) on the N x M grid Y, so no
-    MN-length atom is formed.  ramps, when given, is (D, A).  The L x L
-    system is solved for its minimum-norm least-squares solution, which stays
-    finite when the Gram is singular (aliased atoms).  Duplicate detections
+    atom is formed.  ramps, when given, is (D, A).  The L x L system is
+    solved for its minimum-norm least-squares solution, which stays finite
+    when the Gram is singular (aliased atoms).  Duplicate detections
     raise RankDeficientError first.
     """
     coords = np.array([(p.mu, p.nu) for p in paths]).reshape(-1, 2)
@@ -326,7 +327,7 @@ def update_all_gains(
     D, A = ramp_matrices(cfg, coords[:, 0], coords[:, 1]) if ramps is None else ramps
     Dh, Ah = D.conj().T, A.conj().T
     gram = (Dh @ D) * (Ah @ A)
-    b = np.sum((Dh @ as_grid(cfg, y)) * Ah, axis=1)
+    b = np.sum((Dh @ y) * Ah, axis=1)
     gains, _, _, _ = np.linalg.lstsq(gram, b, rcond=None)
     return [NormalizedPath(complex(g), p.mu, p.nu) for g, p in zip(gains, paths)]
 
@@ -344,7 +345,7 @@ def false_alarm_threshold(cfg: SystemConfig, p_fa: float) -> float:
 def stopping_false_alarm(cfg: SystemConfig, residual: np.ndarray, p_fa: float) -> bool:
     """True when the per-atom matched-filter energy |u^H r|^2 / (M*N) stays
     below the extreme-value threshold on every non-over-sampled grid point."""
-    spectrum = np.fft.fft2(as_grid(cfg, residual))
+    spectrum = np.fft.fft2(residual)
     stat = np.abs(spectrum) ** 2 / cfg.size
     return bool(stat.max() < false_alarm_threshold(cfg, p_fa))
 
@@ -356,18 +357,19 @@ def _stopping_fires(cfg: SystemConfig, residual: np.ndarray, rule: StoppingRule)
 
 
 def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> NompResult:
-    """Full pursuit: detect / refine / cyclic-refine / gains-update until the
-    stopping rule fires, the path cap is reached, or the iteration cap of
-    MAX_ITERATIONS_PER_PATH * max_paths is reached ("stalled")."""
-    if y.shape != (cfg.size,):
-        raise ValueError(f"expected stacked vector of length {cfg.size}")
+    """Full pursuit on the N x M grid y: detect / refine / cyclic-refine /
+    gains-update until the stopping rule fires, the path cap is reached, or
+    the iteration cap of MAX_ITERATIONS_PER_PATH * max_paths is reached
+    ("stalled")."""
+    if y.shape != (cfg.N, cfg.M):
+        raise ValueError(f"expected an N x M = {cfg.N} x {cfg.M} grid, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("y holds NaN or infinite entries")
     max_paths = nomp_cfg.resolve_max_paths(cfg)
     kernel = _kernel(cfg)
     paths: List[NormalizedPath] = []
     factors: List[List[np.ndarray]] = []  # each path's [delay ramp, steering ramp]
-    residual = as_grid(cfg, y.astype(complex))
+    residual = y.astype(complex)
     iterations = 0
     stop_reason: Literal["criterion", "max_paths", "stalled"] = "max_paths"
 
@@ -405,7 +407,7 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
                 factors = [factors[i] for i in keep]
                 ramps = _stack(factors)
                 paths = update_all_gains(cfg, y, paths, ramps)
-            residual = _residual_grid(cfg, y, paths, *ramps)
+            residual = _residual(y, paths, *ramps)
             iterations += 1
 
         energy = float(np.vdot(residual, residual).real)

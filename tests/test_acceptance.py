@@ -292,7 +292,7 @@ def _mc_fisher_diagonal(M, N, g, draws=20_000, step=1e-5, seed=0):
     mu0, nu0 = 0.37, 0.21
     u0 = atom(cfg, mu0, nu0)
     z_mean = (
-        rng.standard_normal((draws, cfg.size)) + 1j * rng.standard_normal((draws, cfg.size))
+        rng.standard_normal((draws, cfg.N, cfg.M)) + 1j * rng.standard_normal((draws, cfg.N, cfg.M))
     ).mean(axis=0) / np.sqrt(2.0)
     out = []
     for axis in (0, 1):
@@ -316,7 +316,7 @@ def test_criterion_9_numerical_oracles(capsys):
     worst_fd = 0.0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        r = (rng.standard_normal(cfg.size) + 1j * rng.standard_normal(cfg.size)) / np.sqrt(2)
+        r = (rng.standard_normal((cfg.N, cfg.M)) + 1j * rng.standard_normal((cfg.N, cfg.M))) / np.sqrt(2)
         g = complex(rng.standard_normal() + 1j * rng.standard_normal())
         mu, nu = rng.uniform(), rng.uniform()
         grad, hess = _grad_hess(cfg, r, g, mu, nu)

@@ -6,13 +6,11 @@ from fdd_recon import (
     NormalizedPath,
     SystemConfig,
     delay_vector,
-    lmmse_estimate,
     lmmse_filter,
     ls_estimate,
     steering_vector,
     synthesize_from_normalized,
 )
-from fdd_recon.baselines import pilot_row_indices
 from fdd_recon.downlink import PilotPattern
 from fdd_recon.harness import add_noise
 
@@ -38,26 +36,25 @@ class TestLsEstimate:
         cfg = SystemConfig(M=2, N=16, K=4)
         pat = PilotPattern.from_config(cfg)
         h = flat_channel(cfg)
-        y_p = h[pilot_row_indices(cfg, pat)]
+        y_p = h[pat.rows]
         np.testing.assert_allclose(ls_estimate(y_p, pat, cfg), h, rtol=1e-12)
 
     def test_stride_one_noiseless_exact(self):
         cfg = SystemConfig(M=2, N=16, K=1)
         pat = PilotPattern.from_config(cfg)
         h = synthesize_from_normalized(cfg, [NormalizedPath(1.0, 0.23, 0.61)])
-        y_p = h[pilot_row_indices(cfg, pat)]
+        y_p = h[pat.rows]
         np.testing.assert_allclose(ls_estimate(y_p, pat, cfg), h, rtol=1e-12)
 
     def test_noise_floor_matches_monte_carlo(self):
         cfg = SystemConfig(M=2, N=32, K=4)
         pat = PilotPattern.from_config(cfg)
         h = flat_channel(cfg)
-        rows = pilot_row_indices(cfg, pat)
         rng = np.random.default_rng(0)
         trials = 2000
         err = 0.0
         for _ in range(trials):
-            y_p = add_noise(h[rows], 1.0, rng)
+            y_p = add_noise(h[pat.rows], 1.0, rng)
             est = ls_estimate(y_p, pat, cfg)
             err += np.mean(np.abs(est - h) ** 2)
         err /= trials
@@ -85,8 +82,8 @@ class TestLmmseEstimate:
         h = synthesize_from_normalized(cfg, [NormalizedPath(1.0, 0.2, 0.4)])
         R = rank_one_covariance(cfg, 0.2, 0.4)
         np.testing.assert_allclose(np.kron(R.mu, R.nu), np.outer(h, h.conj()), atol=1e-12)
-        y_p = h[pilot_row_indices(cfg, pat)]
-        est = lmmse_estimate(y_p, pat, cfg, R, noise_variance=1e-12)
+        y_p = h[pat.rows]
+        est = lmmse_filter(pat, cfg, R, noise_variance=1e-12) @ y_p
         np.testing.assert_allclose(est, h, atol=1e-5)
 
     def test_rank_one_projection_beats_ls(self):
@@ -94,13 +91,13 @@ class TestLmmseEstimate:
         pat = PilotPattern.from_config(cfg)
         h = synthesize_from_normalized(cfg, [NormalizedPath(1.0, 4 / 32, 1 / 2)])
         R = rank_one_covariance(cfg, 4 / 32, 1 / 2)
-        rows = pilot_row_indices(cfg, pat)
+        W = lmmse_filter(pat, cfg, R)
         rng = np.random.default_rng(3)
         ls_err = lmmse_err = 0.0
         for _ in range(500):
-            y_p = add_noise(h[rows], 1.0, rng)
+            y_p = add_noise(h[pat.rows], 1.0, rng)
             ls_err += np.mean(np.abs(ls_estimate(y_p, pat, cfg) - h) ** 2)
-            lmmse_err += np.mean(np.abs(lmmse_estimate(y_p, pat, cfg, R) - h) ** 2)
+            lmmse_err += np.mean(np.abs(W @ y_p - h) ** 2)
         assert lmmse_err < ls_err
 
     def test_shrinks_to_zero_for_zero_channel(self):
@@ -108,17 +105,21 @@ class TestLmmseEstimate:
         pat = PilotPattern.from_config(cfg)
         R = KroneckerCovariance(np.zeros((cfg.N, cfg.N), dtype=complex), np.zeros((cfg.M, cfg.M), dtype=complex))
         rng = np.random.default_rng(4)
-        y_p = add_noise(np.zeros(pat.count * cfg.M, dtype=complex), 1.0, rng)
-        est = lmmse_estimate(y_p, pat, cfg, R, noise_variance=100.0)
+        y_p = add_noise(np.zeros((pat.count, cfg.M), dtype=complex), 1.0, rng)
+        est = lmmse_filter(pat, cfg, R, noise_variance=100.0) @ y_p
+        assert est.shape == (cfg.N, cfg.M)
         assert np.abs(est).max() <= 1e-12
 
     def test_dimension_checked(self):
         cfg = SystemConfig(M=2, N=16, K=4)
         pat = PilotPattern.from_config(cfg)
-        with pytest.raises(ValueError):
-            ls_estimate(np.zeros(3, dtype=complex), pat, cfg)
-        with pytest.raises(ValueError):
-            lmmse_estimate(np.zeros(3, dtype=complex), pat, cfg, KroneckerCovariance(np.eye(cfg.N), np.eye(cfg.M)))
+        W = lmmse_filter(pat, cfg, KroneckerCovariance(np.eye(cfg.N), np.eye(cfg.M)))
+        # a flat pilot vector is refused as well as a wrong count
+        for bad in (np.zeros(3, dtype=complex), np.zeros(pat.count * cfg.M, dtype=complex)):
+            with pytest.raises(ValueError):
+                ls_estimate(bad, pat, cfg)
+            with pytest.raises(ValueError):
+                W @ bad
 
 
 class TestLmmseFilter:
@@ -129,12 +130,15 @@ class TestLmmseFilter:
         pat = PilotPattern.from_config(cfg)
         rng = np.random.default_rng(M * 100 + N)
         cov = KroneckerCovariance(random_factor(rng, N), random_factor(rng, M))
+        # R is the covariance of the channel grid read row by row, so pilot
+        # row r, antenna m is entry r * M + m of that vector
         R = np.kron(cov.mu, cov.nu)
-        rows = pilot_row_indices(cfg, pat)
+        rows = (pat.rows[:, None] * M + np.arange(M)).ravel()
         for s2 in (1.0, 0.05):
             dense = np.linalg.solve(R[np.ix_(rows, rows)] + s2 * np.eye(rows.size), R[:, rows].conj().T).conj().T
             W = lmmse_filter(pat, cfg, cov, noise_variance=s2)
-            factored = np.column_stack([W @ e for e in np.eye(rows.size, dtype=complex)])
+            unit_grids = np.eye(rows.size, dtype=complex).reshape(rows.size, pat.count, M)
+            factored = np.column_stack([(W @ e).ravel() for e in unit_grids])
             assert np.abs(factored - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_nbytes_counts_every_factor(self):

@@ -12,7 +12,7 @@ def mc_fisher_diagonal(M, N, g, draws=20_000, step=1e-5, seed=0):
     mu0, nu0 = 0.37, 0.21
     u0 = atom(cfg, mu0, nu0)
     z_mean = (
-        rng.standard_normal((draws, cfg.size)) + 1j * rng.standard_normal((draws, cfg.size))
+        rng.standard_normal((draws, cfg.N, cfg.M)) + 1j * rng.standard_normal((draws, cfg.N, cfg.M))
     ).mean(axis=0) / np.sqrt(2.0)
 
     out = []

@@ -132,6 +132,68 @@ class TestRun:
         assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "nomp, message",
+        [
+            ({"stopping": {"variant": "bogus"}}, "stopping variant must be"),
+            ({"gamma1": 1.5}, "gamma1 must be an integer"),
+            ({"gamma1": True}, "gamma1 must be an integer"),
+            ({"gamma2": 0}, "gamma2 must be >= 1"),
+            ({"single_refine_rounds": 1.0}, "single_refine_rounds must be an integer"),
+            ({"cyclic_refine_rounds": -1}, "cyclic_refine_rounds must be >= 0"),
+            ({"max_paths": 2.5}, "max_paths must be an integer"),
+            ({"max_paths": 0}, "max_paths must be >= 1"),
+        ],
+    )
+    def test_bad_nomp_fields_exit2(self, tmp_path, capsys, nomp, message):
+        out = tmp_path / "o"
+        config = {
+            "experiment": "reconstruction",
+            "system": {"M": 4, "N": 32},
+            "scenario": {"kind": "sparse_two_path"},
+            "trials": 1,
+            "nomp": nomp,
+        }
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("K", [0, 64])
+    def test_pilot_stride_outside_band_exit2(self, tmp_path, capsys, K):
+        # K = 0 divided by zero and K = 64 > N left no pilots: both ran into runtime errors
+        out = tmp_path / "o"
+        config = {
+            "experiment": "reconstruction",
+            "system": {"M": 4, "N": 32},
+            "scenario": {"kind": "sparse_two_path"},
+            "trials": 1,
+            "K": K,
+        }
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_CONFIG
+        assert "pilot stride K must be in [1, 32]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phase_error_pilot_stride_outside_band_exit2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        config = {"experiment": "phase-error", "system": {"M": 2, "N": 8, "K": 16, "delta_F": 300e6}, "trials": 1}
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_CONFIG
+        assert "pilot stride K must be in [1, 8]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["delta_f", "delta_F"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_spacing_exit2(self, tmp_path, capsys, key, value):
+        out = tmp_path / "o"
+        config = {
+            "experiment": "reconstruction",
+            "system": {"M": 4, "N": 32, key: value},
+            "scenario": {"kind": "sparse_two_path"},
+            "trials": 1,
+        }
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_CONFIG
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_fields_accepted(self, tmp_path):
         out = tmp_path / "o"
         config = dict(BASE_CONFIG, trials=2.0, seed=9.0)

@@ -41,6 +41,21 @@ class TestPilotPattern:
         pat = PilotPattern.from_config(cfg)
         assert pat.indices == tuple(range(-4, 4))
 
+    @pytest.mark.parametrize("N,K", [(16, 4), (15, 4), (7, 3), (8, 8), (5, 1)])
+    def test_rows_are_the_grid_rows_of_the_indices(self, N, K):
+        cfg = make_cfg(N=N, K=K)
+        pat = PilotPattern.from_config(cfg)
+        np.testing.assert_array_equal(pat.rows, np.array(pat.indices) + N // 2)
+        np.testing.assert_array_equal(pat.indices, cfg.subcarrier_indices[::K][: N // K])
+        assert pat.count == len(pat.indices) == N // K >= 1
+
+    @pytest.mark.parametrize("K", [0, -4, 33, 64, 2.5, 4.0, True])
+    def test_stride_outside_one_to_n_rejected(self, K):
+        # K = 0 divided by zero and K > N gave a pattern without pilots
+        cfg = make_cfg(N=32)
+        with pytest.raises(ValueError, match="pilot stride K"):
+            PilotPattern.from_config(cfg, K)
+
 
 class TestCoefficientMatrix:
     def test_empty_estimates_rejected(self):
@@ -273,7 +288,7 @@ class TestReconstruction:
 
     def test_empty_estimates_zero_vector(self):
         cfg = make_cfg()
-        np.testing.assert_array_equal(reconstruct_downlink(cfg, [], []), np.zeros(cfg.size))
+        np.testing.assert_array_equal(reconstruct_downlink(cfg, [], []), np.zeros((cfg.N, cfg.M)))
 
     def test_feedback_payload_is_l_hat(self):
         cfg = make_cfg(M=8, N=32)

@@ -26,7 +26,6 @@ from fdd_recon import (
     generate_scenario,
     genie_covariance,
     match_paths,
-    mse_metric,
     phase_error_law,
     run_crb_experiment,
     run_false_alarm_experiment,
@@ -35,7 +34,7 @@ from fdd_recon import (
     synthesize_downlink,
 )
 from fdd_recon.config import NormalizedPath, normalize_path, wrapped_dist
-from fdd_recon.harness import DimensionMismatchError, TrialWorkerError, _map_trials, _sweep, mse_linear
+from fdd_recon.harness import DimensionMismatchError, TrialWorkerError, _map_trials, _sweep, mse_linear, to_db
 
 
 def cfg_mn(M, N, **kw):
@@ -122,11 +121,12 @@ class TestScenarios:
 
 
 def sample_draws(cfg, spec, seed, draws):
-    """Unit-power downlink channels of the scenario, one row per draw."""
+    """Unit-power downlink channels of the scenario, one row per draw: the
+    N x M grid read row by row, the vector whose covariance is R_mu (x) R_nu."""
     H = np.empty((draws, cfg.size), dtype=complex)
     for d in range(draws):
         rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
-        H[d] = synthesize_downlink(cfg, generate_scenario(cfg, spec, rng, total_power=1.0))
+        H[d] = synthesize_downlink(cfg, generate_scenario(cfg, spec, rng, total_power=1.0)).ravel()
     return H
 
 
@@ -212,27 +212,29 @@ class TestNoise:
 
 class TestMetrics:
     def test_exact_match_is_floor(self):
-        h = np.ones(8, dtype=complex)
-        assert mse_metric(h, h, 2) == -120.0
+        h = np.ones((4, 2), dtype=complex)
+        assert to_db(mse_linear(h, h)) == -120.0
 
     def test_unit_error_zero_db(self):
-        est = np.ones(8, dtype=complex)
-        truth = np.zeros(8, dtype=complex)
-        assert mse_metric(est, truth, 2) == pytest.approx(10 * np.log10(2.0 / 2.0), abs=1e-12)
+        est = np.ones((4, 2), dtype=complex)
+        truth = np.zeros((4, 2), dtype=complex)
+        assert to_db(mse_linear(est, truth)) == pytest.approx(10 * np.log10(2.0 / 2.0), abs=1e-12)
 
     def test_double_power_is_3db(self):
-        truth = np.zeros(4, dtype=complex)
-        est = np.sqrt(2.0) * np.ones(4, dtype=complex)
-        base = np.ones(4, dtype=complex)
-        assert mse_metric(est, truth, 2) - mse_metric(base, truth, 2) == pytest.approx(
+        truth = np.zeros((2, 2), dtype=complex)
+        est = np.sqrt(2.0) * np.ones((2, 2), dtype=complex)
+        base = np.ones((2, 2), dtype=complex)
+        assert to_db(mse_linear(est, truth)) - to_db(mse_linear(base, truth)) == pytest.approx(
             3.0103, abs=1e-3
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            mse_linear(np.zeros(4, dtype=complex), np.zeros(6, dtype=complex), 2)
-        with pytest.raises(DimensionMismatchError):
-            mse_linear(np.zeros(5, dtype=complex), np.zeros(5, dtype=complex), 2)
+            mse_linear(np.zeros((2, 2), dtype=complex), np.zeros((3, 2), dtype=complex))
+        # the grid carries M: a flat or 3-D array has none
+        for shape in ((5,), (2, 2, 2)):
+            with pytest.raises(DimensionMismatchError):
+                mse_linear(np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
 
     def test_cdf_valid(self):
         x, levels = cdf_points([3.0, -1.0, 2.0, 2.0])

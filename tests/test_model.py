@@ -14,7 +14,6 @@ from fdd_recon import (
     steering_vector,
     synthesize_downlink,
     synthesize_from_normalized,
-    synthesize_siso,
     synthesize_uplink,
 )
 from fdd_recon.config import wrap_unit, wrapped_dist
@@ -37,6 +36,13 @@ class TestSystemConfig:
             SystemConfig(M=4, N=8, d_over_lambda=0.7)
         with pytest.raises(ValueError):
             SystemConfig(M=4, N=8, K=0)
+
+    @pytest.mark.parametrize("field", ["delta_f", "delta_F"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_spacings_must_be_finite(self, field, value):
+        # a NaN delta_F used to construct and end in "SVD did not converge"
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SystemConfig(M=4, N=8, **{field: value})
 
     @pytest.mark.parametrize("field", ["M", "N", "K"])
     @pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None])
@@ -117,14 +123,13 @@ class TestDelayVector:
 class TestAtom:
     def test_all_ones(self):
         u = atom(cfg_mn(2, 2), 0.0, 0.0)
-        np.testing.assert_allclose(u, np.ones(4))
+        np.testing.assert_allclose(u, np.ones((2, 2)))
         assert np.vdot(u, u).real == pytest.approx(4.0)
 
     def test_half_half(self):
         u = atom(cfg_mn(2, 2), 0.5, 0.5)
-        expected = [
-            np.exp(2j * np.pi * (0.5 * n + 0.5 * m)) for n in (-1, 0) for m in (-1, 0)
-        ]
+        # rows are subcarriers n, columns antennas m
+        expected = [[np.exp(2j * np.pi * (0.5 * n + 0.5 * m)) for m in (-1, 0)] for n in (-1, 0)]
         np.testing.assert_allclose(u, expected, atol=1e-12)
 
     @given(mu=unit, nu=unit)
@@ -145,13 +150,13 @@ class TestAtom:
 class TestSynthesis:
     def test_empty_paths_zero_vector(self):
         cfg = cfg_mn(2, 4)
-        np.testing.assert_array_equal(synthesize_uplink(cfg, []), np.zeros(8))
-        np.testing.assert_array_equal(synthesize_downlink(cfg, []), np.zeros(8))
+        np.testing.assert_array_equal(synthesize_uplink(cfg, []), np.zeros((4, 2)))
+        np.testing.assert_array_equal(synthesize_downlink(cfg, []), np.zeros((4, 2)))
 
     def test_single_zero_path_all_ones(self):
         cfg = cfg_mn(2, 4)
         h = synthesize_uplink(cfg, [PathComponent(gain=1.0, delay=0.0, angle=0.0)])
-        np.testing.assert_allclose(h, np.ones(8))
+        np.testing.assert_allclose(h, np.ones((4, 2)))
 
     def test_two_equal_paths_linearity(self):
         cfg = cfg_mn(2, 4)
@@ -203,19 +208,20 @@ class TestSynthesis:
     def test_siso_matches_uplink_with_one_antenna(self):
         cfg = cfg_mn(4, 8)
         paths = [PathComponent(1.0, 3e-6, 0.2), PathComponent(0.3j, 7e-6, -0.5)]
-        siso = synthesize_siso(cfg, paths)
-        ref = synthesize_uplink(cfg_mn(1, 8), paths)
-        np.testing.assert_allclose(siso, ref, rtol=1e-12)
-        assert siso.shape == (8,)
+        siso = synthesize_uplink(cfg_mn(1, 8), paths)
+        # the reference antenna m = 0 (column M // 2) has steering phase 1
+        ref = synthesize_uplink(cfg, paths)[:, cfg.M // 2]
+        np.testing.assert_allclose(siso[:, 0], ref, rtol=1e-12)
+        assert siso.shape == (8, 1)
 
     def test_siso_two_paths_brute_force(self):
         cfg = cfg_mn(1, 4)
         paths = [PathComponent(1.0, 2e-6, 0.0), PathComponent(0.5, 6e-6, 0.0)]
-        expected = np.zeros(4, dtype=complex)
+        expected = np.zeros((4, 1), dtype=complex)
         for p in paths:
             mu = cfg.delta_f * p.delay
-            expected += p.gain * np.exp(2j * np.pi * cfg.subcarrier_indices * mu)
-        np.testing.assert_allclose(synthesize_siso(cfg, paths), expected, rtol=1e-12)
+            expected[:, 0] += p.gain * np.exp(2j * np.pi * cfg.subcarrier_indices * mu)
+        np.testing.assert_allclose(synthesize_uplink(cfg, paths), expected, rtol=1e-12)
 
 
 class TestNormalization:

@@ -38,7 +38,7 @@ from fdd_recon.nomp import _grad_hess
 
 def make_noise(cfg, rng, variance=1.0):
     s = np.sqrt(variance / 2)
-    return s * (rng.standard_normal(cfg.size) + 1j * rng.standard_normal(cfg.size))
+    return s * (rng.standard_normal((cfg.N, cfg.M)) + 1j * rng.standard_normal((cfg.N, cfg.M)))
 
 
 @contextlib.contextmanager
@@ -57,18 +57,24 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-# Dense reference for the Newton kernel: the stacked-vector formulas with
-# Kronecker atoms and flat index ramps that the grid form replaced.
+# Dense reference for the Newton kernel: the formulas with Kronecker atoms and
+# index ramps over all MN entries that the moment form replaced.  Entry
+# n * M + m of a Kronecker product is entry (n, m) of the N x M grid.
 
 
 def dense_atom(cfg, mu, nu):
-    return np.kron(delay_vector(cfg, mu), steering_vector(cfg, nu))
+    return np.kron(delay_vector(cfg, mu), steering_vector(cfg, nu)).reshape(cfg.N, cfg.M)
 
 
 def dense_index_ramps(cfg):
-    n = np.kron(cfg.subcarrier_indices, np.ones(cfg.M))
-    m = np.kron(np.ones(cfg.N), cfg.antenna_indices)
+    n = np.kron(cfg.subcarrier_indices, np.ones(cfg.M)).reshape(cfg.N, cfg.M)
+    m = np.kron(np.ones(cfg.N), cfg.antenna_indices).reshape(cfg.N, cfg.M)
     return 2 * np.pi * n, 2 * np.pi * m
+
+
+def atom_columns(cfg, paths):
+    """Each path's atom, read row by row, as a column of an MN x L matrix."""
+    return np.column_stack([atom(cfg, p.mu, p.nu).ravel() for p in paths])
 
 
 def dense_objective(cfg, r, g, mu, nu):
@@ -176,10 +182,6 @@ class TestDenseOracle:
         grad_ref, hess_ref = dense_grad_hess(cfg, r, g, mu, nu)
         assert_close_rel(grad, grad_ref)
         assert_close_rel(hess, hess_ref)
-        # the N x M grid gives the same numbers as the stacked vector
-        grid_grad, grid_hess = _grad_hess(cfg, r.reshape(N, M), g, mu, nu)
-        np.testing.assert_array_equal(grid_grad, grad)
-        np.testing.assert_array_equal(grid_hess, hess)
 
     @pytest.mark.parametrize("M,N", ORACLE_SIZES + [(4, 1), (5, 1), (1, 1)])
     @pytest.mark.parametrize("seed", range(3))
@@ -240,7 +242,7 @@ class TestHeldOutKernel:
         # |u| = 1, so putting the path g d a^T back adds conj(g) P to the moments
         cfg = SystemConfig(M=M, N=N)
         rng = np.random.default_rng(seed)
-        r = make_noise(cfg, rng).reshape(N, M)
+        r = make_noise(cfg, rng)
         g = complex(rng.standard_normal() + 1j * rng.standard_normal())
         d, a = delay_vector(cfg, rng.uniform()), steering_vector(cfg, rng.uniform())
         k = nomp._kernel(cfg)
@@ -304,10 +306,37 @@ class TestHeldOutKernel:
             np.testing.assert_array_equal(r, seen[0])
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("variant", ["bogus", "Power", "", None])
+    def test_unknown_stopping_variant_rejected(self, variant):
+        # it used to construct and run the false-alarm rule
+        with pytest.raises(ValueError, match="stopping variant"):
+            StoppingRule(variant)
+
+    @pytest.mark.parametrize("field", ["gamma1", "gamma2", "single_refine_rounds", "cyclic_refine_rounds", "max_paths"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", np.float64(3.0)])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            NompConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gamma1", 0), ("gamma2", -1), ("single_refine_rounds", -1), ("cyclic_refine_rounds", -1), ("max_paths", 0)],
+    )
+    def test_counts_below_their_minimum_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            NompConfig(**{field: value})
+
+    def test_integer_counts_accepted(self):
+        nc = NompConfig(gamma1=np.int64(1), gamma2=3, single_refine_rounds=0, cyclic_refine_rounds=0, max_paths=None)
+        assert nc.resolve_max_paths(SystemConfig(M=4, N=8)) == 8
+        assert NompConfig(max_paths=np.int32(2)).resolve_max_paths(SystemConfig(M=4, N=8)) == 2
+
+
 class TestObjective:
     def test_zero_gain(self):
         cfg = SystemConfig(M=2, N=4)
-        r = np.arange(8) + 1j
+        r = np.arange(8).reshape(4, 2) + 1j
         assert objective_S(cfg, r, 0.0, 0.1, 0.2) == 0.0
 
     def test_matched_residual(self):
@@ -338,7 +367,7 @@ class TestCoarseDetect:
     def test_zero_residual_tie_breaks_to_origin(self):
         cfg = SystemConfig(M=4, N=8)
         nc = NompConfig(gamma1=2, gamma2=2)
-        mu, nu, score = coarse_detect(cfg, np.zeros(cfg.size, dtype=complex), nc)
+        mu, nu, score = coarse_detect(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), nc)
         assert (mu, nu, score) == (0.0, 0.0, 0.0)
 
     def test_off_grid_path_hits_nearest_cell(self):
@@ -393,7 +422,7 @@ class TestNewtonRefine:
         cfg = SystemConfig(M=4, N=8)
         g0, mu0, nu0 = 1.2 - 0.4j, 0.27, 0.61
         # the residual with the path held out is zero
-        g, mu, nu, _ = newton_refine(cfg, np.zeros(cfg.size, dtype=complex), g0, mu0, nu0)
+        g, mu, nu, _ = newton_refine(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), g0, mu0, nu0)
         assert abs(mu - mu0) <= 1e-12
         assert abs(nu - nu0) <= 1e-12
 
@@ -462,7 +491,7 @@ class TestNewtonRefine:
     def test_guard_rejects_indefinite_hessian(self):
         cfg = SystemConfig(M=4, N=8)
         # zero residual and zero gain: Hessian is zero, guard must reject
-        g, mu, nu, ok = newton_refine(cfg, np.zeros(cfg.size, dtype=complex), 0.0, 0.3, 0.3)
+        g, mu, nu, ok = newton_refine(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), 0.0, 0.3, 0.3)
         assert not ok
         assert (mu, nu) == (0.3, 0.3)
 
@@ -505,7 +534,7 @@ class TestCyclicRefine:
     def test_empty_paths_rejected(self):
         cfg = SystemConfig(M=2, N=2)
         with pytest.raises(ValueError):
-            cyclic_refine(cfg, np.zeros(4, dtype=complex), [], rounds=1)
+            cyclic_refine(cfg, np.zeros((2, 2), dtype=complex), [], rounds=1)
 
 
 class TestUpdateAllGains:
@@ -536,17 +565,17 @@ class TestUpdateAllGains:
             NormalizedPath(0.0, 5 / 16, 2 / 4),
             NormalizedPath(0.0, 11 / 16, 3 / 4),
         ]
-        U = np.column_stack([atom(cfg, p.mu, p.nu) for p in paths])
-        y = U @ np.array([1.0, 2.0, -1j]) + make_noise(cfg, rng)
+        U = atom_columns(cfg, paths)
+        y = (U @ np.array([1.0, 2.0, -1j])).reshape(cfg.N, cfg.M) + make_noise(cfg, rng)
         out = update_all_gains(cfg, y, paths)
-        oracle = np.linalg.solve(U.conj().T @ U, U.conj().T @ y)
+        oracle = np.linalg.solve(U.conj().T @ U, U.conj().T @ y.ravel())
         np.testing.assert_allclose([p.gain for p in out], oracle, rtol=1e-7)
 
     def test_duplicates_raise_rank_deficient(self):
         cfg = SystemConfig(M=4, N=8)
         paths = [NormalizedPath(1.0, 0.3, 0.7), NormalizedPath(1.0, 0.3 + 1e-12, 0.7)]
         with pytest.raises(RankDeficientError):
-            update_all_gains(cfg, np.zeros(cfg.size, dtype=complex), paths)
+            update_all_gains(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), paths)
 
     def test_duplicate_pairs_match_the_pairwise_loop(self):
         # exact, near (1e-12) and wrapped (1 - 1e-12 against 0) duplicates,
@@ -563,9 +592,9 @@ class TestUpdateAllGains:
         ]
         assert loop == [(0, 2), (0, 5), (1, 4), (2, 5)]
         with pytest.raises(RankDeficientError) as err:
-            update_all_gains(cfg, np.zeros(cfg.size, dtype=complex), paths)
+            update_all_gains(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), paths)
         assert err.value.duplicates == loop
-        assert update_all_gains(cfg, np.zeros(cfg.size, dtype=complex), []) == []
+        assert update_all_gains(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), []) == []
 
     def test_duplicates_raise_before_any_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -576,7 +605,7 @@ class TestUpdateAllGains:
         cfg = SystemConfig(M=4, N=8)
         paths = [NormalizedPath(1.0, 0.3, 0.7), NormalizedPath(1.0, 0.3 + 1e-12, 0.7)]
         with pytest.raises(RankDeficientError):
-            update_all_gains(cfg, np.zeros(cfg.size, dtype=complex), paths)
+            update_all_gains(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), paths)
 
     # odd and even sizes, one antenna and one subcarrier
     @pytest.mark.parametrize("M,N", [(8, 16), (5, 33), (7, 12), (1, 64), (40, 1)])
@@ -585,11 +614,11 @@ class TestUpdateAllGains:
         cfg = SystemConfig(M=M, N=N)
         rng = np.random.default_rng(100 * M + N + L)
         paths = separated_paths(cfg, L, rng)
-        U = np.column_stack([atom(cfg, p.mu, p.nu) for p in paths])
+        U = atom_columns(cfg, paths)
         g = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        y = U @ g + make_noise(cfg, rng, 0.1)
+        y = (U @ g).reshape(cfg.N, cfg.M) + make_noise(cfg, rng, 0.1)
         out = update_all_gains(cfg, y, paths)
-        dense, _, _, _ = np.linalg.lstsq(U, y, rcond=None)
+        dense, _, _, _ = np.linalg.lstsq(U, y.ravel(), rcond=None)
         np.testing.assert_allclose([p.gain for p in out], dense, rtol=1e-9)
 
     def test_aliased_atoms_give_finite_least_squares_gains(self):
@@ -597,24 +626,24 @@ class TestUpdateAllGains:
         # so the Gram matrix is singular
         cfg = SystemConfig(M=1, N=8)
         paths = [NormalizedPath(0.0, 0.3, 0.1), NormalizedPath(0.0, 0.3, 0.6)]
-        U = np.column_stack([atom(cfg, p.mu, p.nu) for p in paths])
-        y = 2.0 * U[:, 0] + make_noise(cfg, np.random.default_rng(8), 0.1)
+        U = atom_columns(cfg, paths)
+        y = (2.0 * U[:, 0]).reshape(cfg.N, cfg.M) + make_noise(cfg, np.random.default_rng(8), 0.1)
         gains = np.array([p.gain for p in update_all_gains(cfg, y, paths)])
-        dense, _, _, _ = np.linalg.lstsq(U, y, rcond=None)
+        dense, _, _, _ = np.linalg.lstsq(U, y.ravel(), rcond=None)
         assert np.all(np.isfinite(gains))
-        assert np.linalg.norm(y - U @ gains) == pytest.approx(np.linalg.norm(y - U @ dense), rel=1e-9)
+        assert np.linalg.norm(y.ravel() - U @ gains) == pytest.approx(np.linalg.norm(y.ravel() - U @ dense), rel=1e-9)
 
 
 class TestStopping:
     def test_power_threshold_value(self):
         cfg = SystemConfig(M=32, N=128)
-        r = np.sqrt(4096.0 / cfg.size) * np.ones(cfg.size, dtype=complex)
+        r = np.sqrt(4096.0 / cfg.size) * np.ones((cfg.N, cfg.M), dtype=complex)
         assert not stopping_power(cfg, r)  # energy == 4096, threshold is strict
         assert stopping_power(cfg, 0.999 * r)
 
     def test_zero_residual_stops_both(self):
         cfg = SystemConfig(M=4, N=8)
-        z = np.zeros(cfg.size, dtype=complex)
+        z = np.zeros((cfg.N, cfg.M), dtype=complex)
         assert stopping_power(cfg, z)
         assert stopping_false_alarm(cfg, z, 0.01)
 
@@ -743,17 +772,23 @@ class TestFactoredPursuit:
 
 
 class TestBoundedPursuit:
+    @pytest.mark.parametrize("shape", [(128,), (8, 16), (16, 8, 1), (1, 128)])
+    def test_anything_but_the_n_by_m_grid_rejected(self, shape):
+        cfg = SystemConfig(M=8, N=16)
+        with pytest.raises(ValueError, match="16 x 8 grid"):
+            nomp_extract(np.ones(shape, dtype=complex), cfg, NompConfig())
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_non_finite_input_rejected(self, bad):
         cfg = SystemConfig(M=8, N=16)
-        y = np.full(cfg.size, bad, dtype=complex)
+        y = np.full((cfg.N, cfg.M), bad, dtype=complex)
         with time_limit(5.0), pytest.raises(ValueError, match="NaN or infinite"):
             nomp_extract(y, cfg, NompConfig())
 
     def test_single_non_finite_entry_rejected(self):
         cfg = SystemConfig(M=8, N=16)
         y = make_noise(cfg, np.random.default_rng(0))
-        y[37] = np.nan
+        y[4, 5] = np.nan
         with time_limit(5.0), pytest.raises(ValueError):
             nomp_extract(y, cfg, NompConfig())
 
@@ -779,7 +814,7 @@ class TestBoundedPursuit:
         # finite but so large that the pursuit's sums overflow
         cfg = SystemConfig(M=3, N=4)
         with time_limit(5.0), pytest.raises(FloatingPointError):
-            nomp_extract(np.full(cfg.size, magnitude, dtype=complex), cfg, NompConfig())
+            nomp_extract(np.full((cfg.N, cfg.M), magnitude, dtype=complex), cfg, NompConfig())
 
     @given(
         M=st.integers(1, 4),
@@ -792,10 +827,10 @@ class TestBoundedPursuit:
         finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
         re = data.draw(st.lists(finite, min_size=cfg.size, max_size=cfg.size))
         im = data.draw(st.lists(finite, min_size=cfg.size, max_size=cfg.size))
-        y = np.array(re) + 1j * np.array(im)
+        y = (np.array(re) + 1j * np.array(im)).reshape(N, M)
         bad = data.draw(st.sets(st.integers(0, cfg.size - 1), max_size=2))
         for i in bad:
-            y[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, complex(1.0, np.nan)]))
+            y.flat[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, complex(1.0, np.nan)]))
         rule = data.draw(st.sampled_from([StoppingRule("power"), StoppingRule("false_alarm", p_fa=0.05)]))
         nc = NompConfig(gamma1=2, gamma2=2, stopping=rule)
         with time_limit(20.0):
