@@ -76,8 +76,8 @@ def lmmse_filter(
     on the Np x M pilot grid W Y_p = R_mu[:, P] U ((U^H Y_p conj(V)) o D) (R_nu V)^T.
     No MN x MN matrix is formed, and s^2 > 0 makes the inverse well-posed.
     """
-    if noise_variance <= 0:
-        raise ValueError("noise_variance must be > 0")
+    if not noise_variance > 0:  # NaN fails too
+        raise ValueError(f"noise_variance must be > 0, got {noise_variance!r}")
     rows = pattern.rows
     lam, U = np.linalg.eigh(genie_covariance.mu[np.ix_(rows, rows)])
     sigma, V = np.linalg.eigh(genie_covariance.nu)

@@ -30,8 +30,8 @@ def fisher_matrix(M: int, N: int, g: complex) -> np.ndarray:
 
 def crb(M: int, N: int, snr: float) -> CrbReport:
     """Single-path CRBs and the normalized-MSE lower bounds."""
-    if snr <= 0:
-        raise ValueError("snr must be positive (linear units)")
+    if not snr > 0:  # NaN fails too
+        raise ValueError(f"snr must be positive (linear units), got {snr!r}")
     if M * N <= 1:
         raise ValueError("need M*N > 1")
     crb_mu = 3.0 / (2.0 * snr * np.pi**2 * M * N * (N**2 - 1))

@@ -11,16 +11,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
-from .config import SystemConfig
+from .config import SystemConfig, check_integer, finite_real
 from .downlink import PilotPattern
 from .harness import (
     Cluster,
@@ -38,10 +38,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-EXPERIMENTS = ("crb", "reconstruction", "false-alarm", "phase-error")
+# The top-level keys each experiment reads, besides "experiment" and "output".
+EXPERIMENT_KEYS = {
+    "crb": {"system", "scenario", "nomp", "snr_db", "trials", "seed"},
+    "reconstruction": {"system", "scenario", "nomp", "snr_db", "trials", "seed", "beamforming", "K"},
+    "false-alarm": {"system", "nomp", "p_fa", "trials", "seed"},
+    "phase-error": {"system", "trials", "seed"},
+}
+
+SCENARIOS = {"sparse_two_path": SparseTwoPath, "cluster": Cluster, "equal_power_grid": EqualPowerGrid}
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     pass
 
 
@@ -51,25 +59,26 @@ def _require_keys(obj: Dict[str, Any], allowed: set, context: str):
         raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
 
 
-def _int_field(config: Dict[str, Any], key: str, default: int) -> int:
-    """config[key] as an int; bools, non-integral numbers and strings are
-    config errors rather than values int() would coerce."""
-    value = config.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+def _object(obj: Any, context: str) -> Dict[str, Any]:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {obj!r}")
+    return obj
 
 
-def _finite_number(value: Any) -> bool:
-    """True for a finite JSON number; bools and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
+def _section(obj: Any, cls, context: str, **nested):
+    """cls(**obj) for a JSON object obj whose keys are fields of the dataclass
+    cls; a key named in nested holds a section of its own, of that type."""
+    _require_keys(_object(obj, context), {f.name for f in fields(cls)}, context)
+    built = {k: _section(obj[k], nested[k], f"{context}.{k}") for k in nested if k in obj}
+    return cls(**{**obj, **built})
+
+
+def _scenario(obj: Any):
+    rest = dict(_object(obj, "scenario"))
+    kind = rest.pop("kind", None)
+    if not isinstance(kind, str) or kind not in SCENARIOS:
+        raise ConfigError(f"scenario kind must be one of {sorted(SCENARIOS)}, got {kind!r}")
+    return _section(rest, SCENARIOS[kind], "scenario")
 
 
 def _worker_count(flag: int | None) -> int:
@@ -79,59 +88,6 @@ def _worker_count(flag: int | None) -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ConfigError(f"--threads / FDD_RECON_THREADS must be a positive integer, got {raw!r}")
     return int(raw)
-
-
-def _parse_system(obj: Dict[str, Any]) -> SystemConfig:
-    _require_keys(obj, {"M", "N", "delta_f", "delta_F", "d_over_lambda", "K"}, "system")
-    try:
-        return SystemConfig(**obj)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"system: {err}") from err
-
-
-def _pilot_stride(cfg: SystemConfig, K: int) -> int:
-    """K, once it makes a pilot pattern on cfg's N subcarriers."""
-    try:
-        PilotPattern.from_config(cfg, K)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return K
-
-
-def _parse_scenario(obj: Dict[str, Any]):
-    kind = obj.get("kind")
-    if kind is None:
-        raise ConfigError("scenario: missing 'kind'")
-    rest = {k: v for k, v in obj.items() if k != "kind"}
-    try:
-        if kind == "sparse_two_path":
-            _require_keys(rest, {"delay_spread_fraction"}, "scenario")
-            return SparseTwoPath(**rest)
-        if kind == "cluster":
-            _require_keys(rest, {"paths", "angular_spread_deg", "delay_spread_cells"}, "scenario")
-            return Cluster(**rest)
-        if kind == "equal_power_grid":
-            _require_keys(rest, {"count", "min_sep_mu", "min_sep_nu"}, "scenario")
-            return EqualPowerGrid(**rest)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"scenario: {err}") from err
-    raise ConfigError(f"scenario: unknown kind {kind!r}")
-
-
-def _parse_nomp(obj: Dict[str, Any]) -> NompConfig:
-    _require_keys(
-        obj,
-        {"gamma1", "gamma2", "single_refine_rounds", "cyclic_refine_rounds", "max_paths", "stopping"},
-        "nomp",
-    )
-    stopping = obj.pop("stopping", None)
-    try:
-        if stopping is not None:
-            _require_keys(stopping, {"variant", "p_fa"}, "nomp.stopping")
-            obj = dict(obj, stopping=StoppingRule(**stopping))
-        return NompConfig(**obj)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"nomp: {err}") from err
 
 
 def config_hash(config: Dict[str, Any]) -> str:
@@ -220,77 +176,70 @@ def _write_outputs(report: ExperimentReport, config: Dict[str, Any], out_dir: Pa
             _atomic_write(out_dir / f"cdf_{name}_snr{tag}.csv", _csv(lines, chash))
 
 
-ALLOWED_TOP = {
-    "experiment",
-    "system",
-    "scenario",
-    "nomp",
-    "snr_db",
-    "trials",
-    "seed",
-    "p_fa",
-    "beamforming",
-    "K",
-    "output",
-}
+def _experiment(config: Dict[str, Any], threads: int) -> Callable[[], ExperimentReport]:
+    """The config's experiment, ready to run: every typed object it needs is
+    built, and so checked, before any trial runs.  The run_* functions are
+    looked up when this is called, so wrappers set on this module apply."""
+    experiment = config.get("experiment")
+    if not isinstance(experiment, str) or experiment not in EXPERIMENT_KEYS:
+        raise ConfigError(f"experiment must be one of {sorted(EXPERIMENT_KEYS)}, got {experiment!r}")
+    _require_keys(config, EXPERIMENT_KEYS[experiment] | {"experiment", "output"}, "config")
+    if "system" not in config:
+        raise ConfigError("missing 'system' section")
+    cfg = _section(config["system"], SystemConfig, "system")
+    nomp_cfg = _section(config["nomp"], NompConfig, "nomp", stopping=StoppingRule) if "nomp" in config else None
+    common: Dict[str, Any] = {"threads": threads}
+    for key, default, low in (("trials", 100, 1), ("seed", 0, 0)):
+        value = config.get(key, default)
+        common[key] = int(value) if isinstance(value, float) and value.is_integer() else value
+        check_integer(key, common[key], low)
+    snr_db = config.get("snr_db", [10.0])
+    if not isinstance(snr_db, list) or not snr_db or not all(finite_real(v) for v in snr_db):
+        raise ConfigError(f"snr_db must be a non-empty list of finite numbers, got {snr_db!r}")
+
+    if experiment == "crb":
+        scenario = _scenario(config["scenario"]) if "scenario" in config else None
+        if scenario is not None and not isinstance(scenario, EqualPowerGrid):
+            raise ConfigError("crb experiment requires an equal_power_grid scenario")
+        return partial(run_crb_experiment, cfg, snr_db, nomp_cfg=nomp_cfg, scenario=scenario, **common)
+    if experiment == "false-alarm":
+        if "p_fa" not in config:
+            raise ConfigError("false-alarm experiment requires 'p_fa'")
+        p_fa = StoppingRule("false_alarm", config["p_fa"]).p_fa
+        return partial(run_false_alarm_experiment, cfg, p_fa, nomp_cfg=nomp_cfg, **common)
+    if experiment == "phase-error":
+        if cfg.delta_F == 0:
+            raise ConfigError("phase-error experiment requires a nonzero system.delta_F")
+        PilotPattern(K=cfg.K, N=cfg.N)  # checks the pilot stride against N
+        return partial(run_phase_error_experiment, cfg, **common)
+    if "scenario" not in config:
+        raise ConfigError("reconstruction experiment requires 'scenario'")
+    scenario = _scenario(config["scenario"])
+    btype = config.get("beamforming", "type1")
+    if btype not in ("type1", "type2"):
+        raise ConfigError(f"beamforming must be 'type1' or 'type2', got {btype!r}")
+    pattern = PilotPattern(K=config.get("K", cfg.K), N=cfg.N)
+    return partial(run_reconstruction_experiment, cfg, scenario, btype, pattern.K, snr_db, nomp_cfg=nomp_cfg, **common)
 
 
 def run_from_config(config: Dict[str, Any], out_dir: Path, threads: int) -> ExperimentReport:
-    _require_keys(config, ALLOWED_TOP, "config")
-    experiment = config.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    if "system" not in config:
-        raise ConfigError("missing 'system' section")
-    cfg = _parse_system(config["system"])
-    nomp_cfg = _parse_nomp(dict(config["nomp"])) if "nomp" in config else None
-    trials = _int_field(config, "trials", 100)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    seed = _int_field(config, "seed", 0)
-    snr_db = config.get("snr_db", [10.0])
-    if not isinstance(snr_db, list) or not snr_db or not all(_finite_number(v) for v in snr_db):
-        raise ConfigError(f"snr_db must be a non-empty list of finite numbers, got {snr_db!r}")
-    if "p_fa" in config and not (_finite_number(config["p_fa"]) and 0 < config["p_fa"] < 1):
-        raise ConfigError(f"p_fa must be a number in (0, 1), got {config['p_fa']!r}")
-
-    if experiment == "crb":
-        scenario = _parse_scenario(dict(config["scenario"])) if "scenario" in config else None
-        if scenario is not None and not isinstance(scenario, EqualPowerGrid):
-            raise ConfigError("crb experiment requires an equal_power_grid scenario")
-        report = run_crb_experiment(
-            cfg, snr_db, trials, seed=seed, nomp_cfg=nomp_cfg, scenario=scenario, threads=threads
-        )
-    elif experiment == "false-alarm":
-        p_fa = config.get("p_fa")
-        if p_fa is None:
-            raise ConfigError("false-alarm experiment requires 'p_fa'")
-        report = run_false_alarm_experiment(
-            cfg, float(p_fa), trials, seed=seed, nomp_cfg=nomp_cfg, threads=threads
-        )
-    elif experiment == "phase-error":
-        _pilot_stride(cfg, cfg.K)
-        report = run_phase_error_experiment(cfg, trials, seed=seed, threads=threads)
-    else:
-        if "scenario" not in config:
-            raise ConfigError("reconstruction experiment requires 'scenario'")
-        scenario = _parse_scenario(dict(config["scenario"]))
-        btype = config.get("beamforming", "type1")
-        if btype not in ("type1", "type2"):
-            raise ConfigError(f"beamforming must be 'type1' or 'type2', got {btype!r}")
-        report = run_reconstruction_experiment(
-            cfg,
-            scenario,
-            btype,
-            _pilot_stride(cfg, _int_field(config, "K", cfg.K)),
-            snr_db,
-            trials,
-            seed=seed,
-            nomp_cfg=nomp_cfg,
-            threads=threads,
-        )
+    try:
+        run = _experiment(config, threads)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(str(err)) from err
+    report = run()
     _write_outputs(report, config, out_dir)
     return report
+
+
+def _out_dir(config: Dict[str, Any], flag: str | None) -> Path:
+    """--out, else the config's output.dir, else results."""
+    output = _object(config.get("output", {}), "output")
+    _require_keys(output, {"dir"}, "output")
+    out_dir = output.get("dir", "results")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
+    return Path(flag or out_dir)
 
 
 def _cmd_run(args) -> int:
@@ -304,13 +253,13 @@ def _cmd_run(args) -> int:
         print(f"config parse error at line {err.lineno}, column {err.colno}: {err.msg}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.trials is not None:
-        config["trials"] = args.trials
-    if args.seed is not None:
-        config["seed"] = args.seed
-    out_dir = Path(args.out or config.get("output", {}).get("dir", "results"))
-
     try:
+        _object(config, "config")
+        if args.trials is not None:
+            config["trials"] = args.trials
+        if args.seed is not None:
+            config["seed"] = args.seed
+        out_dir = _out_dir(config, args.out)
         report = run_from_config(config, out_dir, _worker_count(args.threads))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

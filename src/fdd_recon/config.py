@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -15,6 +15,16 @@ def check_integer(name: str, value, low: int, high: int | None = None) -> None:
     if value < low or (high is not None and value > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def finite_real(value) -> bool:
+    """True for a finite real number; bools, strings and None are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -36,11 +46,11 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("M", "N", "K"):
             check_integer(name, getattr(self, name), 1)
-        if not math.isfinite(self.delta_f) or self.delta_f <= 0:
+        if not (finite_real(self.delta_f) and self.delta_f > 0):
             raise ValueError(f"delta_f must be positive and finite, got {self.delta_f!r}")
-        if not math.isfinite(self.delta_F):
+        if not finite_real(self.delta_F):
             raise ValueError(f"delta_F must be finite, got {self.delta_F!r}")
-        if not 0 < self.d_over_lambda <= 0.5:
+        if not (finite_real(self.d_over_lambda) and 0 < self.d_over_lambda <= 0.5):
             raise ValueError("d_over_lambda must lie in (0, 0.5]")
 
     @property

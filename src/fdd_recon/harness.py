@@ -28,7 +28,9 @@ from .config import (
     NormalizedPath,
     PathComponent,
     SystemConfig,
+    check_integer,
     denormalize_path,
+    finite_real,
     normalize_path,
     wrapped_dist,
     wrapped_dists,
@@ -75,7 +77,7 @@ class SparseTwoPath:
     delay_spread_fraction: float = 1.0 / 16.0  # window as a fraction of 1/delta_f
 
     def __post_init__(self):
-        if not 0 < self.delay_spread_fraction <= 1:
+        if not (finite_real(self.delay_spread_fraction) and 0 < self.delay_spread_fraction <= 1):
             raise ValueError(f"delay_spread_fraction must lie in (0, 1], got {self.delay_spread_fraction}")
 
 
@@ -85,7 +87,14 @@ class Cluster:
 
     paths: int = 6
     angular_spread_deg: float = 30.0
-    delay_spread_cells: float = 3.0  # delay spread as a multiple of 1/(N*delta_f)
+    delay_spread_cells: float = 3.0  # delay spread as a multiple of 1/(N*delta_f), at most N
+
+    def __post_init__(self):
+        check_integer("paths", self.paths, 1)
+        if not (finite_real(self.angular_spread_deg) and 0 <= self.angular_spread_deg <= 180):
+            raise ValueError(f"angular_spread_deg must be a number in [0, 180], got {self.angular_spread_deg!r}")
+        if not (finite_real(self.delay_spread_cells) and self.delay_spread_cells >= 0):
+            raise ValueError(f"delay_spread_cells must be a finite number >= 0, got {self.delay_spread_cells!r}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +105,13 @@ class EqualPowerGrid:
     count: int = 15
     min_sep_mu: float | None = None  # default 1/N
     min_sep_nu: float | None = None  # default 1/M
+
+    def __post_init__(self):
+        check_integer("count", self.count, 1)
+        for name in ("min_sep_mu", "min_sep_nu"):
+            sep = getattr(self, name)
+            if sep is not None and not (finite_real(sep) and sep >= 0):
+                raise ValueError(f"{name} must be null or a finite number >= 0, got {sep!r}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +147,10 @@ def generate_scenario(
         delays = rng.uniform(0.0, spec.delay_spread_fraction / cfg.delta_f, size=count)
         angles = rng.uniform(-np.pi / 2, np.pi / 2, size=count)
     elif isinstance(spec, Cluster):
+        if spec.delay_spread_cells > cfg.N:
+            raise ValueError(
+                f"delay_spread_cells {spec.delay_spread_cells} exceeds the N = {cfg.N} delay cells of a symbol"
+            )
         count = spec.paths
         half = np.deg2rad(spec.angular_spread_deg) / 2.0
         center = rng.uniform(-np.pi / 2 + half, np.pi / 2 - half)

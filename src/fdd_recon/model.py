@@ -88,8 +88,8 @@ def add_noise(values: np.ndarray, variance: float, rng: np.random.Generator | No
     """Add i.i.d. circular complex Gaussian noise (variance per complex element)
     drawn from rng, which may be None only when variance is 0.  The draws fill
     the array's entries in C order, whatever its shape."""
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
+    if not variance >= 0:  # NaN fails too
+        raise ValueError(f"variance must be >= 0, got {variance!r}")
     if variance == 0:
         return values
     if rng is None:

@@ -8,7 +8,7 @@ from typing import List, Literal, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .config import NormalizedPath, SystemConfig, check_integer, wrapped_dists
+from .config import NormalizedPath, SystemConfig, check_integer, finite_real, wrapped_dists
 from .model import _phase_slopes, atom, delay_vector, ramp_matrices, steering_vector
 
 # Not called here: the pursuit rebuilds its residuals from ramp matrices.  The
@@ -41,8 +41,8 @@ class StoppingRule:
     def __post_init__(self):
         if self.variant not in ("power", "false_alarm"):
             raise ValueError(f"stopping variant must be 'power' or 'false_alarm', got {self.variant!r}")
-        if self.variant == "false_alarm" and not 0.0 < self.p_fa < 1.0:
-            raise ValueError("p_fa must lie in (0, 1)")
+        if not (finite_real(self.p_fa) and 0 < self.p_fa < 1):
+            raise ValueError(f"p_fa must be a number in (0, 1), got {self.p_fa!r}")
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,6 @@ class TestLmmseFilter:
         cfg = SystemConfig(M=2, N=16, K=4)
         pat = PilotPattern.from_config(cfg)
         cov = KroneckerCovariance(np.eye(cfg.N), np.eye(cfg.M))
-        for s2 in (0.0, -1.0):
+        for s2 in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
                 lmmse_filter(pat, cfg, cov, noise_variance=s2)

@@ -101,4 +101,6 @@ class TestCrb:
         with pytest.raises(ValueError):
             crb(4, 8, 0.0)
         with pytest.raises(ValueError):
+            crb(4, 8, float("nan"))
+        with pytest.raises(ValueError):
             crb(1, 1, 1.0)

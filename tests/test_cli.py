@@ -16,6 +16,17 @@ BASE_CONFIG = {
     "seed": 1,
 }
 
+RECON_CONFIG = {
+    "experiment": "reconstruction",
+    "system": {"M": 2, "N": 16},
+    "scenario": {"kind": "sparse_two_path"},
+    "trials": 1,
+}
+
+PHASE_CONFIG = {"experiment": "phase-error", "system": {"M": 2, "N": 8, "delta_F": 300e6}, "trials": 1}
+
+FALSE_ALARM_CONFIG = {"experiment": "false-alarm", "system": {"M": 2, "N": 8}, "trials": 2, "p_fa": 0.5}
+
 
 def write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
@@ -194,6 +205,49 @@ class TestRun:
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([1], "config must be a JSON object, got [1]"),
+            (dict(BASE_CONFIG, output=5), "output must be a JSON object, got 5"),
+            (dict(BASE_CONFIG, output={"dir": 5}), "output.dir must be a string, got 5"),
+            (dict(BASE_CONFIG, output={"path": "x"}), "unknown keys in output: ['path']"),
+            (dict(BASE_CONFIG, system=5), "system must be a JSON object, got 5"),
+            (dict(BASE_CONFIG, scenario=[1]), "scenario must be a JSON object, got [1]"),
+            (dict(BASE_CONFIG, scenario={"count": 2}), "scenario kind must be one of"),
+            (dict(BASE_CONFIG, nomp={"stopping": 5}), "nomp.stopping must be a JSON object, got 5"),
+            (dict(BASE_CONFIG, seed=-1), "seed must be >= 0, got -1"),
+            (dict(BASE_CONFIG, scenario={"kind": "equal_power_grid", "count": 0}), "count must be >= 1"),
+            (
+                dict(BASE_CONFIG, scenario={"kind": "equal_power_grid", "min_sep_mu": -1.0}),
+                "min_sep_mu must be null or a finite number >= 0",
+            ),
+            (dict(RECON_CONFIG, scenario={"kind": "cluster", "paths": 0}), "paths must be >= 1"),
+            (dict(RECON_CONFIG, scenario={"kind": "cluster", "paths": 2.5}), "paths must be an integer"),
+            (
+                dict(RECON_CONFIG, scenario={"kind": "cluster", "angular_spread_deg": 200.0}),
+                "angular_spread_deg must be a number in [0, 180]",
+            ),
+            (
+                dict(RECON_CONFIG, scenario={"kind": "cluster", "angular_spread_deg": -10.0}),
+                "angular_spread_deg must be a number in [0, 180]",
+            ),
+            (dict(RECON_CONFIG, K=4.0), "pilot stride K must be an integer"),
+            (dict(BASE_CONFIG, beamforming="type9"), "unknown keys in config: ['beamforming']"),
+            (dict(FALSE_ALARM_CONFIG, scenario={"kind": "sparse_two_path"}), "unknown keys in config: ['scenario']"),
+            (dict(PHASE_CONFIG, snr_db=[10.0]), "unknown keys in config: ['snr_db']"),
+            (dict(PHASE_CONFIG, nomp={}), "unknown keys in config: ['nomp']"),
+            (dict(PHASE_CONFIG, scenario={"kind": "sparse_two_path"}), "unknown keys in config: ['scenario']"),
+            (dict(PHASE_CONFIG, system={"M": 2, "N": 8}), "phase-error experiment requires a nonzero system.delta_F"),
+        ],
+    )
+    def test_bad_config_exit2_writes_nothing(self, tmp_path, monkeypatch, capsys, config, message):
+        # run from tmp_path without --out, so that any output directory would land there
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(write_config(tmp_path, config))]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_integral_float_fields_accepted(self, tmp_path):
         out = tmp_path / "o"
         config = dict(BASE_CONFIG, trials=2.0, seed=9.0)
@@ -245,6 +299,13 @@ class TestRun:
         config = dict(BASE_CONFIG, scenario={"kind": "equal_power_grid", "count": 9})
         cfg_path = write_config(tmp_path, config)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+
+    def test_cluster_delay_spread_beyond_symbol_exit3(self, tmp_path, capsys):
+        # whether the spread fits depends on N, so it is checked as each trial draws its paths
+        config = dict(RECON_CONFIG, scenario={"kind": "cluster", "delay_spread_cells": 20.0})
+        cfg_path = write_config(tmp_path, config)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert "delay_spread_cells 20.0 exceeds the N = 16" in capsys.readouterr().err
 
     def test_cli_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)

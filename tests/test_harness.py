@@ -1,5 +1,6 @@
 import contextlib
 import os
+import re
 import signal
 import time
 
@@ -97,10 +98,47 @@ class TestScenarios:
         with pytest.raises(InfeasibleSeparationError):
             generate_scenario(cfg_mn(8, 32, d_over_lambda=0.25), EqualPowerGrid(count=5), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5, 2.0])
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5, 2.0, float("nan"), True])
     def test_sparse_two_path_window_checked(self, fraction):
         with pytest.raises(ValueError, match="delay_spread_fraction"):
             SparseTwoPath(delay_spread_fraction=fraction)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("paths", 0, "paths must be >= 1"),
+            ("paths", 2.5, "paths must be an integer"),
+            ("angular_spread_deg", 200.0, "angular_spread_deg must be a number in [0, 180]"),
+            ("angular_spread_deg", -10.0, "angular_spread_deg must be a number in [0, 180]"),
+            ("angular_spread_deg", float("nan"), "angular_spread_deg must be a number in [0, 180]"),
+            ("delay_spread_cells", -1.0, "delay_spread_cells must be a finite number >= 0"),
+            ("delay_spread_cells", float("inf"), "delay_spread_cells must be a finite number >= 0"),
+        ],
+    )
+    def test_cluster_fields_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Cluster(**{field: value})
+
+    def test_cluster_delay_spread_beyond_symbol_raises(self):
+        cfg = cfg_mn(4, 8)
+        for p in generate_scenario(cfg, Cluster(delay_spread_cells=8.0), np.random.default_rng(0)):
+            p.validate(cfg)
+        with pytest.raises(ValueError, match="delay_spread_cells 8.5 exceeds the N = 8"):
+            generate_scenario(cfg, Cluster(delay_spread_cells=8.5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("count", 0, "count must be >= 1"),
+            ("count", 2.5, "count must be an integer"),
+            ("min_sep_mu", -1.0, "min_sep_mu must be null or a finite number >= 0"),
+            ("min_sep_nu", float("nan"), "min_sep_nu must be null or a finite number >= 0"),
+            ("min_sep_mu", "0.1", "min_sep_mu must be null or a finite number >= 0"),
+        ],
+    )
+    def test_equal_power_grid_fields_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EqualPowerGrid(**{field: value})
 
     def test_sparse_two_path_full_window_delays_in_range(self):
         cfg = cfg_mn(4, 16)
@@ -206,8 +244,9 @@ class TestNoise:
         assert add_noise(x, 0.0, np.random.default_rng(0)) is x
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            add_noise(np.zeros(2, dtype=complex), -1.0, np.random.default_rng(0))
+        for variance in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                add_noise(np.zeros(2, dtype=complex), variance, np.random.default_rng(0))
 
 
 class TestMetrics:

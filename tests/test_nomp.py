@@ -1,4 +1,5 @@
 import contextlib
+import re
 import signal
 from collections import Counter
 
@@ -312,6 +313,12 @@ class TestConfigValidation:
         # it used to construct and run the false-alarm rule
         with pytest.raises(ValueError, match="stopping variant"):
             StoppingRule(variant)
+
+    @pytest.mark.parametrize("variant", ["false_alarm", "power"])
+    @pytest.mark.parametrize("p_fa", ["abc", True, None, float("nan"), 0.0, 1.0, [0.01]])
+    def test_p_fa_must_be_a_number_in_unit_interval(self, variant, p_fa):
+        with pytest.raises(ValueError, match=re.escape("p_fa must be a number in (0, 1)")):
+            StoppingRule(variant, p_fa)
 
     @pytest.mark.parametrize("field", ["gamma1", "gamma2", "single_refine_rounds", "cyclic_refine_rounds", "max_paths"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", np.float64(3.0)])
