@@ -1,4 +1,4 @@
-# Core system geometry and path parameter containers.
+# Core system geometry and the path parameter container.
 from __future__ import annotations
 
 import math
@@ -68,57 +68,18 @@ class SystemConfig:
 
 
 @dataclass
-class PathComponent:
-    """One propagation path in physical units."""
-
-    gain: complex
-    delay: float  # seconds, in [0, 1/delta_f)
-    angle: float  # radians
-
-    def validate(self, cfg: SystemConfig):
-        if not 0 <= self.delay < 1.0 / cfg.delta_f:
-            raise ValueError(f"delay {self.delay} outside [0, 1/delta_f)")
-
-
-@dataclass
 class NormalizedPath:
-    """One path in normalized units: mu = delta_f*tau, nu = (d/lambda)*sin(theta) mod 1."""
+    """One path in normalized units, the only path type: delay tau and angle
+    theta enter as mu = delta_f*tau and nu = (d/lambda)*sin(theta), both
+    defined mod 1."""
 
     gain: complex
     mu: float
     nu: float
 
 
-def wrap_unit(x):
-    """Wrap a frequency-like coordinate into [0, 1)."""
-    return np.mod(x, 1.0)
-
-
-def wrapped_dist(a: float, b: float) -> float:
-    """Distance between two coordinates on the unit circle, in [0, 0.5]."""
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
-
-
 def wrapped_dists(a, b) -> np.ndarray:
-    """wrapped_dist elementwise over arrays a and b, broadcast together."""
+    """Distances on the unit circle, in [0, 0.5], between a and b broadcast together."""
     d = np.abs(np.subtract(a, b)) % 1.0
     return np.minimum(d, 1.0 - d)
 
-
-def normalize_path(cfg: SystemConfig, path: PathComponent) -> NormalizedPath:
-    mu = wrap_unit(cfg.delta_f * path.delay)
-    nu = wrap_unit(cfg.d_over_lambda * np.sin(path.angle))
-    return NormalizedPath(gain=path.gain, mu=float(mu), nu=float(nu))
-
-
-def denormalize_path(cfg: SystemConfig, npath: NormalizedPath) -> PathComponent:
-    """Invert normalize_path.  nu is unwrapped into [-0.5, 0.5); a nu with
-    |nu| > d/lambda has no angle (it is invisible) and raises ValueError."""
-    delay = wrap_unit(npath.mu) / cfg.delta_f
-    nu = wrap_unit(npath.nu)
-    if nu >= 0.5:
-        nu -= 1.0
-    if abs(nu) > cfg.d_over_lambda:
-        raise ValueError(f"nu {npath.nu} is invisible at d/lambda {cfg.d_over_lambda}")
-    return PathComponent(gain=npath.gain, delay=float(delay), angle=float(np.arcsin(nu / cfg.d_over_lambda)))

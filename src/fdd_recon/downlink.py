@@ -7,13 +7,9 @@ from typing import Literal, Sequence, Tuple
 
 import numpy as np
 
-from .config import PathComponent, SystemConfig, check_integer, normalize_path
-from .model import add_noise, offset_phases, ramp_matrices
+from .config import NormalizedPath, SystemConfig, check_integer
+from .model import add_noise, offset_phases, ramp_matrices, synthesize_downlink
 from .nomp import RankDeficientError
-
-# Not called here: reconstruct_downlink builds the channel from ramp matrices.
-# The name stays a module attribute because perfbench/tracer.py hooks it.
-from .model import synthesize_downlink  # noqa: F401
 
 BeamformingType = Literal["type1", "type2"]
 
@@ -95,7 +91,7 @@ def build_coefficient_matrix(
 
 def simulate_downlink_pilots(
     cfg: SystemConfig,
-    true_paths: Sequence[PathComponent],
+    true_paths: Sequence[NormalizedPath],
     estimates: Sequence[Tuple[float, float]],
     btype: BeamformingType,
     pattern: PilotPattern,
@@ -104,13 +100,10 @@ def simulate_downlink_pilots(
 ) -> np.ndarray:
     """Received downlink pilots: true paths beamed toward the estimated
     (mu, nu) pairs' spatial frequencies, plus circular complex Gaussian noise
-    drawn from rng (required when noise_variance > 0).  A true delay outside
-    [0, 1/delta_f) raises ValueError, as in synthesize_downlink."""
-    for p in true_paths:
-        p.validate(cfg)
-    truth = [normalize_path(cfg, p) for p in true_paths]
-    gains = np.array([p.gain for p in truth], dtype=complex)
-    y = _pilot_operator(cfg, pattern, [(p.mu, p.nu) for p in truth], [e[1] for e in estimates], btype) @ gains
+    drawn from rng (required when noise_variance > 0)."""
+    gains = np.array([p.gain for p in true_paths], dtype=complex)
+    truth = [(p.mu, p.nu) for p in true_paths]
+    y = _pilot_operator(cfg, pattern, truth, [e[1] for e in estimates], btype) @ gains
     return add_noise(y, noise_variance, rng)
 
 
@@ -136,6 +129,4 @@ def reconstruct_downlink(
     from per-path gains and the uplink-derived (mu, nu) pairs."""
     if len(refined_gains) != len(estimates):
         raise ValueError("gain/estimate length mismatch")
-    mus, nus = np.array(estimates, dtype=float).reshape(-1, 2).T
-    D, A = ramp_matrices(cfg, mus, nus)
-    return (D * (np.asarray(refined_gains) * offset_phases(cfg, mus))) @ A.T
+    return synthesize_downlink(cfg, [NormalizedPath(g, mu, nu) for g, (mu, nu) in zip(refined_gains, estimates)])

@@ -24,17 +24,7 @@ import numpy as np
 
 from .baselines import KroneckerCovariance, lmmse_filter, ls_estimate
 from .bounds import crb
-from .config import (
-    NormalizedPath,
-    PathComponent,
-    SystemConfig,
-    check_integer,
-    denormalize_path,
-    finite_real,
-    normalize_path,
-    wrapped_dist,
-    wrapped_dists,
-)
+from .config import NormalizedPath, SystemConfig, check_integer, finite_real, wrapped_dists
 from .downlink import (
     PilotPattern,
     RankDeficientError,
@@ -69,12 +59,13 @@ class TrialWorkerError(RuntimeError):
 class SparseTwoPath:
     """Two distinct paths with i.i.d. random angles and delays.
 
-    Delays are uniform over a cyclic-prefix-scale window anchored at zero
-    (first arrival defines the timing reference), keeping the ensemble
-    frequency-correlated so covariance-based estimators have structure to use.
+    mu is uniform over a cyclic-prefix-scale window [0, delay_spread_fraction)
+    anchored at zero (first arrival defines the timing reference), keeping the
+    ensemble frequency-correlated so covariance-based estimators have
+    structure to use.
     """
 
-    delay_spread_fraction: float = 1.0 / 16.0  # window as a fraction of 1/delta_f
+    delay_spread_fraction: float = 1.0 / 16.0  # window of mu = delta_f*tau
 
     def __post_init__(self):
         if not (finite_real(self.delay_spread_fraction) and 0 < self.delay_spread_fraction <= 1):
@@ -116,7 +107,7 @@ class EqualPowerGrid:
 
 @dataclass(frozen=True)
 class Custom:
-    paths: Tuple[PathComponent, ...] = ()
+    paths: Tuple[NormalizedPath, ...] = ()
 
 
 ScenarioSpec = SparseTwoPath | Cluster | EqualPowerGrid | Custom
@@ -126,26 +117,36 @@ def _random_phase(rng: np.random.Generator) -> complex:
     return complex(np.exp(2j * np.pi * rng.uniform()))
 
 
+def _spaced(rng: np.random.Generator, count: int, sep: float) -> np.ndarray:
+    """count points on the unit circle, uniform among the placements whose
+    wrapped pairwise distances are all at least sep (count*sep < 1): sorted
+    uniforms on [0, 1 - count*sep) with sep*i added, rotated by a uniform and
+    put in random order."""
+    x = np.sort(rng.uniform(0.0, 1.0 - count * sep, size=count)) + sep * np.arange(count)
+    return rng.permutation((x + rng.uniform()) % 1.0)
+
+
 def generate_scenario(
     cfg: SystemConfig,
     spec: ScenarioSpec,
     rng: np.random.Generator,
     total_power: float = 1.0,
-) -> List[PathComponent]:
+) -> List[NormalizedPath]:
     """Draw one path realization; deterministic given the generator state.
 
     Gains carry random phases and are scaled so sum |g_l|^2 == total_power,
-    which fixes the per-subcarrier per-antenna SNR under unit noise.
+    which fixes the per-subcarrier per-antenna SNR under unit noise.  The
+    random scenarios draw angles theta in [-pi/2, pi/2] as
+    nu = (d/lambda)*sin(theta) mod 1.
     """
     if isinstance(spec, Custom):
-        for p in spec.paths:
-            p.validate(cfg)
         return list(spec.paths)
 
+    d = cfg.d_over_lambda
     if isinstance(spec, SparseTwoPath):
         count = 2
-        delays = rng.uniform(0.0, spec.delay_spread_fraction / cfg.delta_f, size=count)
-        angles = rng.uniform(-np.pi / 2, np.pi / 2, size=count)
+        mus = rng.uniform(0.0, spec.delay_spread_fraction, size=count)
+        nus = d * np.sin(rng.uniform(-np.pi / 2, np.pi / 2, size=count))
     elif isinstance(spec, Cluster):
         if spec.delay_spread_cells > cfg.N:
             raise ValueError(
@@ -154,50 +155,25 @@ def generate_scenario(
         count = spec.paths
         half = np.deg2rad(spec.angular_spread_deg) / 2.0
         center = rng.uniform(-np.pi / 2 + half, np.pi / 2 - half)
-        angles = center + rng.uniform(-half, half, size=count)
-        spread = spec.delay_spread_cells / (cfg.N * cfg.delta_f)
-        t0 = rng.uniform(0.0, 1.0 / cfg.delta_f - spread)
-        delays = t0 + rng.uniform(0.0, spread, size=count)
+        nus = d * np.sin(center + rng.uniform(-half, half, size=count))
+        spread = spec.delay_spread_cells / cfg.N
+        mus = rng.uniform(0.0, 1.0 - spread) + rng.uniform(0.0, spread, size=count)
     elif isinstance(spec, EqualPowerGrid):
         count = spec.count
         sep_mu = 1.0 / cfg.N if spec.min_sep_mu is None else spec.min_sep_mu
         sep_nu = 1.0 / cfg.M if spec.min_sep_nu is None else spec.min_sep_nu
-        d = cfg.d_over_lambda
         if count * sep_mu >= 1.0 or count * sep_nu >= 2 * d:
             raise InfeasibleSeparationError(
                 f"{count} paths cannot keep separations ({sep_mu}, {sep_nu}) on the visible torus"
             )
-        drawn: List[Tuple[float, float, float]] = []  # (mu, nu, arc)
-        attempts = 0
-        while len(drawn) < count:
-            attempts += 1
-            if attempts > 100_000:
-                # rejection sampling can stall when the exclusion intervals of
-                # already-accepted points tile the torus
-                raise InfeasibleSeparationError(
-                    f"could not place {count} paths with separations ({sep_mu}, {sep_nu})"
-                )
-            mu, nu = rng.uniform(), rng.uniform()
-            # only |nu| <= d is visible; arc is nu's place on that arc with its ends joined, scaled
-            # to [0, 1) (nu itself at d = 1/2), and separating along it keeps nu uniform on [-d, d]
-            arc = (nu if nu <= d else nu - (1.0 - 2 * d)) / (2 * d)
-            if wrapped_dist(nu, 0.0) <= d and all(
-                wrapped_dist(mu, m) >= sep_mu and wrapped_dist(arc, a) >= sep_nu / (2 * d) for m, _, a in drawn
-            ):
-                drawn.append((mu, nu, arc))
-        amp = np.sqrt(total_power / count)
-        return [
-            denormalize_path(cfg, NormalizedPath(amp * _random_phase(rng), mu, nu))
-            for mu, nu, _ in drawn
-        ]
+        mus = _spaced(rng, count, sep_mu)
+        # nu on the visible arc [-d, d] with its ends joined, scaled to the unit circle
+        nus = 2 * d * _spaced(rng, count, sep_nu / (2 * d)) - d
     else:
         raise TypeError(f"unknown scenario spec {spec!r}")
 
     amp = np.sqrt(total_power / count)
-    return [
-        PathComponent(gain=amp * _random_phase(rng), delay=float(t), angle=float(a))
-        for t, a in zip(delays, angles)
-    ]
+    return [NormalizedPath(amp * _random_phase(rng), float(mu), float(nu)) for mu, nu in zip(mus % 1.0, nus % 1.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +403,13 @@ def run_crb_experiment(
     bound_reports = [crb(cfg.M, cfg.N, snr) for snr in snr_list]
 
     def trial(snr: float, rng: np.random.Generator):
-        paths = generate_scenario(cfg, scenario, rng, total_power=snr * scenario.count)
-        truth = [normalize_path(cfg, p) for p in paths]
-        y = add_noise(synthesize_uplink(cfg, paths), 1.0, rng)
+        truth = generate_scenario(cfg, scenario, rng, total_power=snr * scenario.count)
+        y = add_noise(synthesize_uplink(cfg, truth), 1.0, rng)
         res = nomp_extract(y, cfg, nomp_cfg)
         matches = match_paths(truth, res.paths, radius_mu, radius_nu)
-        sq_mu = [(wrapped_dist(truth[i].mu, res.paths[j].mu)) ** 2 for i, j in matches]
-        sq_nu = [(wrapped_dist(truth[i].nu, res.paths[j].nu)) ** 2 for i, j in matches]
+        t = np.array([(truth[i].mu, truth[i].nu) for i, _ in matches]).reshape(-1, 2)
+        e = np.array([(res.paths[j].mu, res.paths[j].nu) for _, j in matches]).reshape(-1, 2)
+        sq_mu, sq_nu = (wrapped_dists(t, e) ** 2).T.tolist()
         missed = len(truth) - len(matches)
         fakes = len(res.paths) - len(matches)
         return sq_mu, sq_nu, missed, fakes
@@ -536,7 +512,10 @@ def run_phase_error_experiment(
 ) -> ExperimentReport:
     """Randomized single-path trials: downlink MSE of gain-refined
     reconstruction versus direct out-of-band inference under an injected delay
-    error with delta_F * delta_tau in the given range."""
+    error with delta_F * delta_tau in the given range, which needs a nonzero
+    delta_F."""
+    if cfg.delta_F == 0:
+        raise ValueError("the phase-error experiment needs a nonzero delta_F")
     t0 = time.perf_counter()
     pattern = PilotPattern.from_config(cfg)
 
@@ -545,8 +524,8 @@ def run_phase_error_experiment(
         lo, hi = offset_delay_product_range
         delta_tau = rng.uniform(lo, hi) / cfg.delta_F * rng.choice([-1.0, 1.0])
         # mu of the erroneous delay, which stays in [0, 1/delta_f)
-        mu_hat = float(np.clip(cfg.delta_f * (path.delay + delta_tau), 0.0, 1.0 - 1e-12))
-        estimates = [(mu_hat, normalize_path(cfg, path).nu)]
+        mu_hat = float(np.clip(path.mu + cfg.delta_f * delta_tau, 0.0, 1.0 - 1e-12))
+        estimates = [(mu_hat, path.nu)]
 
         h_ul = synthesize_uplink(cfg, [path])
         h_dl = synthesize_downlink(cfg, [path])

@@ -6,21 +6,20 @@
 # the estimator.
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .config import NormalizedPath, PathComponent, SystemConfig, normalize_path
+from .config import NormalizedPath, SystemConfig
 
 
 @lru_cache(maxsize=16)
 def _phase_slopes(cfg: SystemConfig) -> Tuple[np.ndarray, np.ndarray]:
     """j*2*pi*n over the subcarriers and j*2*pi*m over the antennas, built
     once per config and read-only.  The ramps below scale them by the
-    coordinate wrapped with Python's %, which equals np.mod (wrap_unit) and
-    costs less on a scalar, so they equal exp(j*2*pi*index*wrap_unit(x))."""
+    coordinate wrapped with Python's %, which equals np.mod and costs less on
+    a scalar, so they equal exp(j*2*pi*index*np.mod(x, 1))."""
     n = 2j * np.pi * cfg.subcarrier_indices
     m = 2j * np.pi * cfg.antenna_indices
     n.flags.writeable = m.flags.writeable = False
@@ -57,31 +56,29 @@ def atom(cfg: SystemConfig, mu: float, nu: float) -> np.ndarray:
     return np.outer(delay_vector(cfg, mu), steering_vector(cfg, nu))
 
 
-def synthesize_from_normalized(cfg: SystemConfig, paths: Iterable[NormalizedPath]) -> np.ndarray:
-    """Sum of gain-weighted atoms; empty input gives the zero grid."""
-    h = np.zeros((cfg.N, cfg.M), dtype=complex)
-    for p in paths:
-        h += p.gain * atom(cfg, p.mu, p.nu)
-    return h
+def synthesize_from_normalized(cfg: SystemConfig, paths: Sequence[NormalizedPath]) -> np.ndarray:
+    """N x M channel (D diag(g)) A^T of the paths: D and A are their ramp
+    matrices and g their gains, so it is the sum of gain-weighted atoms with
+    no atom formed.  Empty input gives the zero grid."""
+    D, A = ramp_matrices(cfg, [p.mu for p in paths], [p.nu for p in paths])
+    return (D * np.array([p.gain for p in paths], dtype=complex)) @ A.T
 
 
-def synthesize_uplink(cfg: SystemConfig, paths: Sequence[PathComponent]) -> np.ndarray:
-    return synthesize_from_normalized(cfg, [normalize_path(cfg, p) for p in paths])
+# The uplink channel; a name of its own, which perfbench/tracer.py hooks.
+synthesize_uplink = synthesize_from_normalized
 
 
 def offset_phases(cfg: SystemConfig, mus) -> np.ndarray:
-    """Carrier-offset phases exp(j*2*pi*delta_F*tau) at tau = mu/delta_f, tau in [0, 1/delta_f)."""
+    """Carrier-offset phases exp(j*2*pi*delta_F*tau) at the delays
+    tau = (mu mod 1)/delta_f, which lie in [0, 1/delta_f)."""
     return np.exp(2j * np.pi * (cfg.delta_F / cfg.delta_f) * (np.asarray(mus, dtype=float) % 1.0))
 
 
-def synthesize_downlink(cfg: SystemConfig, paths: Sequence[PathComponent]) -> np.ndarray:
-    """Like synthesize_uplink but with each path's carrier-offset phase.  A
-    delay outside [0, 1/delta_f) raises ValueError: wrapped, it would give
-    the phase of another delay."""
-    for p in paths:
-        p.validate(cfg)
-    n = [normalize_path(cfg, p) for p in paths]
-    return synthesize_from_normalized(cfg, [replace(p, gain=p.gain * offset_phases(cfg, p.mu)) for p in n])
+def synthesize_downlink(cfg: SystemConfig, paths: Sequence[NormalizedPath]) -> np.ndarray:
+    """synthesize_uplink with each path's gain times its carrier-offset phase."""
+    mus = [p.mu for p in paths]
+    D, A = ramp_matrices(cfg, mus, [p.nu for p in paths])
+    return (D * (np.array([p.gain for p in paths], dtype=complex) * offset_phases(cfg, mus))) @ A.T
 
 
 def add_noise(values: np.ndarray, variance: float, rng: np.random.Generator | None) -> np.ndarray:

@@ -26,7 +26,7 @@ from fdd_recon import (
     synthesize_from_normalized,
 )
 from fdd_recon.downlink import refine_gains
-from fdd_recon.config import wrapped_dist
+from fdd_recon.config import wrapped_dists
 from fdd_recon.harness import EqualPowerGrid
 from fdd_recon.nomp import _grad_hess, objective_S
 
@@ -124,8 +124,8 @@ def _random_separated_paths(rng, N, M, count):
     mus, nus = [], []
     while len(mus) < count:
         mu, nu = rng.uniform(), rng.uniform()
-        if all(wrapped_dist(mu, m) >= cells_mu for m in mus) and all(
-            wrapped_dist(nu, v) >= cells_nu for v in nus
+        if all(wrapped_dists(mu, m) >= cells_mu for m in mus) and all(
+            wrapped_dists(nu, v) >= cells_nu for v in nus
         ):
             mus.append(mu)
             nus.append(nu)
@@ -155,7 +155,7 @@ def test_criterion_4_noiseless_exact_recovery(capsys):
         count_ok &= len(res.paths) == len(truth)
         for t in truth:
             best = min(
-                max(wrapped_dist(t.mu, d.mu) * cfg.N, wrapped_dist(t.nu, d.nu) * cfg.M)
+                max(wrapped_dists(t.mu, d.mu) * cfg.N, wrapped_dists(t.nu, d.nu) * cfg.M)
                 for d in res.paths
             )
             worst_cells = max(worst_cells, best)

@@ -17,7 +17,6 @@ from fdd_recon import (
     ExperimentReport,
     InfeasibleSeparationError,
     NompConfig,
-    PathComponent,
     RankDeficientError,
     SparseTwoPath,
     StoppingRule,
@@ -34,12 +33,19 @@ from fdd_recon import (
     run_reconstruction_experiment,
     synthesize_downlink,
 )
-from fdd_recon.config import NormalizedPath, normalize_path, wrapped_dist
+from fdd_recon.config import NormalizedPath, wrapped_dists
+from fdd_recon import harness
 from fdd_recon.harness import DimensionMismatchError, TrialWorkerError, _map_trials, _sweep, mse_linear, to_db
 
 
 def cfg_mn(M, N, **kw):
     return SystemConfig(M=M, N=N, **kw)
+
+
+def circle_dist(a, b):
+    """Distance between two coordinates on the unit circle, in [0, 0.5]."""
+    d = abs(a - b) % 1.0
+    return min(d, 1.0 - d)
 
 
 class TestScenarios:
@@ -61,10 +67,12 @@ class TestScenarios:
         cfg = cfg_mn(8, 64)
         for seed in range(20):
             paths = generate_scenario(cfg, Cluster(), np.random.default_rng(seed))
-            angles = np.array([p.angle for p in paths])
+            # nu = (d/lambda) sin(theta) mod 1, unwrapped into [-1/2, 1/2]
+            nus = np.array([p.nu if p.nu <= 0.5 else p.nu - 1.0 for p in paths])
+            angles = np.arcsin(nus / cfg.d_over_lambda)
             assert angles.max() - angles.min() <= np.deg2rad(30.0) + 1e-12
-            delays = np.array([p.delay for p in paths])
-            assert delays.max() - delays.min() <= 3.0 / (cfg.N * cfg.delta_f) + 1e-18
+            mus = np.array([p.mu for p in paths])
+            assert mus.max() - mus.min() <= 3.0 / cfg.N + 1e-15
 
     def test_cluster_zero_spread_collapses(self):
         cfg = cfg_mn(8, 64)
@@ -72,8 +80,8 @@ class TestScenarios:
             cfg, Cluster(paths=4, angular_spread_deg=0.0, delay_spread_cells=0.0),
             np.random.default_rng(1),
         )
-        assert len({p.angle for p in paths}) == 1
-        assert len({p.delay for p in paths}) == 1
+        assert len({p.nu for p in paths}) == 1
+        assert len({p.mu for p in paths}) == 1
 
     @pytest.mark.parametrize("d_over_lambda", [0.5, 0.25])
     def test_equal_power_grid_separations(self, d_over_lambda):
@@ -81,11 +89,24 @@ class TestScenarios:
         spec = EqualPowerGrid(count=6)
         for seed in range(5):
             paths = generate_scenario(cfg, spec, np.random.default_rng(seed))
-            norm = [normalize_path(cfg, p) for p in paths]
-            for i in range(len(norm)):
-                for j in range(i + 1, len(norm)):
-                    assert wrapped_dist(norm[i].mu, norm[j].mu) >= 1.0 / cfg.N - 1e-12
-                    assert wrapped_dist(norm[i].nu, norm[j].nu) >= 1.0 / cfg.M - 1e-12
+            for i in range(len(paths)):
+                for j in range(i + 1, len(paths)):
+                    assert circle_dist(paths[i].mu, paths[j].mu) >= 1.0 / cfg.N - 1e-12
+                    assert circle_dist(paths[i].nu, paths[j].nu) >= 1.0 / cfg.M - 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equal_power_grid_places_every_feasible_count(self, seed):
+        # 7 paths 1/8 apart on nu: the exclusion intervals of a few early
+        # draws could tile the arc and stall a rejection sampler
+        cfg = cfg_mn(8, 64)
+        paths = generate_scenario(cfg, EqualPowerGrid(count=7), np.random.default_rng(seed))
+        assert len(paths) == 7
+        for i in range(7):
+            assert 0 <= paths[i].mu < 1 and 0 <= paths[i].nu < 1
+            assert circle_dist(paths[i].nu, 0.0) <= cfg.d_over_lambda
+            for j in range(i + 1, 7):
+                assert circle_dist(paths[i].mu, paths[j].mu) >= 1.0 / cfg.N - 1e-12
+                assert circle_dist(paths[i].nu, paths[j].nu) >= 1.0 / cfg.M - 1e-12
 
     def test_infeasible_separation_raises(self):
         cfg = cfg_mn(4, 8)
@@ -122,7 +143,7 @@ class TestScenarios:
     def test_cluster_delay_spread_beyond_symbol_raises(self):
         cfg = cfg_mn(4, 8)
         for p in generate_scenario(cfg, Cluster(delay_spread_cells=8.0), np.random.default_rng(0)):
-            p.validate(cfg)
+            assert 0 <= p.mu < 1
         with pytest.raises(ValueError, match="delay_spread_cells 8.5 exceeds the N = 8"):
             generate_scenario(cfg, Cluster(delay_spread_cells=8.5), np.random.default_rng(0))
 
@@ -144,17 +165,11 @@ class TestScenarios:
         cfg = cfg_mn(4, 16)
         for seed in range(20):
             for p in generate_scenario(cfg, SparseTwoPath(delay_spread_fraction=1.0), np.random.default_rng(seed)):
-                p.validate(cfg)
-
-    def test_custom_delays_validated(self):
-        cfg = cfg_mn(4, 8)
-        for delay in (-1e-9, 1.0 / cfg.delta_f, 2.0 / cfg.delta_f):
-            with pytest.raises(ValueError, match="delay"):
-                generate_scenario(cfg, Custom((PathComponent(1.0, delay, 0.2),)), np.random.default_rng(0))
+                assert 0 <= p.mu < 1
 
     def test_custom_passthrough(self):
         cfg = cfg_mn(4, 8)
-        paths = (PathComponent(1.0, 1e-6, 0.2),)
+        paths = (NormalizedPath(1.0, 0.075, 0.1),)
         assert generate_scenario(cfg, Custom(paths), np.random.default_rng(0)) == list(paths)
 
 
@@ -190,7 +205,7 @@ class TestGenieCovariance:
 
     def test_custom_has_no_ensemble(self):
         with pytest.raises(TypeError):
-            genie_covariance(cfg_mn(4, 8), Custom((PathComponent(1.0, 1e-6, 0.2),)))
+            genie_covariance(cfg_mn(4, 8), Custom((NormalizedPath(1.0, 0.075, 0.1),)))
 
     @pytest.mark.parametrize(
         "d_over_lambda, spec",
@@ -283,11 +298,11 @@ class TestMetrics:
 
 
 def loop_match_paths(truth, detected, radius_mu, radius_nu):
-    """Reference: every pair by wrapped_dist, sorted by (dm + dn, i, j), then greedy."""
+    """Reference: every pair by circle_dist, sorted by (dm + dn, i, j), then greedy."""
     pairs = []
     for i, t in enumerate(truth):
         for j, d in enumerate(detected):
-            dm, dn = wrapped_dist(t.mu, d.mu), wrapped_dist(t.nu, d.nu)
+            dm, dn = circle_dist(t.mu, d.mu), circle_dist(t.nu, d.nu)
             if dm <= radius_mu and dn <= radius_nu:
                 pairs.append((dm + dn, i, j))
     used_t, used_d, matches = set(), set(), []
@@ -345,8 +360,9 @@ class TestMatchPaths:
     def test_wrapped_dist_on_the_unit_interval(self, a, b, shift):
         # identical to the plain distance formula on [0, 1); whole turns drop out
         d = abs(a - b)
-        assert wrapped_dist(a, b) == min(d, 1.0 - d)
-        assert wrapped_dist(a + shift, b) == pytest.approx(min(d, 1.0 - d), abs=1e-12)
+        assert wrapped_dists(a, b) == min(d, 1.0 - d)
+        assert wrapped_dists(a + shift, b) == pytest.approx(min(d, 1.0 - d), abs=1e-12)
+        assert wrapped_dists([a, a + shift], b).tolist() == [circle_dist(a, b), circle_dist(a + shift, b)]
 
 
 class TestPhaseErrorLaw:
@@ -427,6 +443,12 @@ class TestExperiments:
         rep = run_phase_error_experiment(cfg, trials=40, seed=1, snr_db=20.0)
         assert rep.extras["refined_win_fraction"] >= 0.9
         assert rep.curves["refined_reconstruction"][0] < rep.curves["direct_inference"][0]
+
+    def test_phase_error_experiment_needs_a_carrier_offset(self, monkeypatch):
+        # checked before any trial: the injected delay error is a fraction of 1/delta_F
+        monkeypatch.setattr(harness, "_sweep", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(ValueError, match="nonzero delta_F"):
+            run_phase_error_experiment(SystemConfig(M=2, N=8), trials=2)
 
     def test_reconstruction_experiment_shape_and_determinism(self):
         cfg = SystemConfig(M=4, N=32, delta_F=300e6, K=4)

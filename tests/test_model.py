@@ -5,18 +5,14 @@ from hypothesis import strategies as st
 
 from fdd_recon import (
     NormalizedPath,
-    PathComponent,
     SystemConfig,
     atom,
     delay_vector,
-    denormalize_path,
-    normalize_path,
     steering_vector,
     synthesize_downlink,
     synthesize_from_normalized,
     synthesize_uplink,
 )
-from fdd_recon.config import wrap_unit, wrapped_dist
 from fdd_recon.model import _phase_slopes, ramp_matrices
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -64,7 +60,7 @@ class TestRampMatrices:
     # the ramps as they were built before the phase slopes were cached
     @staticmethod
     def reference(indices, x):
-        return np.exp(2j * np.pi * indices * wrap_unit(x))
+        return np.exp(2j * np.pi * indices * np.mod(x, 1.0))
 
     @pytest.mark.parametrize("M,N", [(4, 7), (5, 8), (1, 16), (16, 1)])
     def test_columns_equal_the_vector_ramps_bit_for_bit(self, M, N):
@@ -155,8 +151,19 @@ class TestSynthesis:
 
     def test_single_zero_path_all_ones(self):
         cfg = cfg_mn(2, 4)
-        h = synthesize_uplink(cfg, [PathComponent(gain=1.0, delay=0.0, angle=0.0)])
+        h = synthesize_uplink(cfg, [NormalizedPath(gain=1.0, mu=0.0, nu=0.0)])
         np.testing.assert_allclose(h, np.ones((4, 2)))
+
+    @pytest.mark.parametrize("M,N", [(4, 7), (5, 8), (1, 16), (16, 1)])
+    def test_matches_the_sum_of_atoms(self, M, N):
+        cfg = cfg_mn(M, N)
+        rng = np.random.default_rng(M * N)
+        paths = [
+            NormalizedPath(complex(rng.standard_normal(), rng.standard_normal()), rng.uniform(-2, 2), rng.uniform(-2, 2))
+            for _ in range(5)
+        ]
+        expected = sum(p.gain * atom(cfg, p.mu, p.nu) for p in paths)
+        np.testing.assert_allclose(synthesize_from_normalized(cfg, paths), expected, rtol=0, atol=1e-12)
 
     def test_two_equal_paths_linearity(self):
         cfg = cfg_mn(2, 4)
@@ -182,10 +189,7 @@ class TestSynthesis:
 
     def test_downlink_equals_uplink_when_no_offset(self):
         cfg = cfg_mn(4, 8, delta_F=0.0)
-        paths = [
-            PathComponent(0.5 + 1j, 2e-6, 0.3),
-            PathComponent(-0.2j, 5e-6, -0.8),
-        ]
+        paths = [NormalizedPath(0.5 + 1j, 0.15, 0.1), NormalizedPath(-0.2j, 0.375, 0.6)]
         np.testing.assert_allclose(
             synthesize_downlink(cfg, paths), synthesize_uplink(cfg, paths), rtol=1e-12
         )
@@ -193,21 +197,20 @@ class TestSynthesis:
     def test_downlink_half_cycle_offset_negates(self):
         tau = 1e-6
         cfg = cfg_mn(2, 2, delta_F=0.5 / tau)
-        path = PathComponent(1.0, tau, 0.4)
-        npath = normalize_path(cfg, path)
+        path = NormalizedPath(1.0, cfg.delta_f * tau, 0.2)
         h = synthesize_downlink(cfg, [path])
-        np.testing.assert_allclose(h, -atom(cfg, npath.mu, npath.nu), atol=1e-9)
+        np.testing.assert_allclose(h, -atom(cfg, path.mu, path.nu), atol=1e-9)
 
-    @pytest.mark.parametrize("delay", [-1e-9, 1.0 / 75e3, 2e-5])
-    def test_downlink_rejects_delay_outside_symbol(self, delay):
-        # wrapped, the delay would take the carrier-offset phase of another delay
+    def test_downlink_reads_mu_mod_one(self):
+        # the offset phase is that of the delay (mu mod 1)/delta_f in [0, 1/delta_f)
         cfg = cfg_mn(2, 4, delta_f=75e3, delta_F=300e6)
-        with pytest.raises(ValueError, match="outside"):
-            synthesize_downlink(cfg, [PathComponent(1.0, 1e-6, 0.4), PathComponent(1.0, delay, 0.1)])
+        paths = [NormalizedPath(1.0, 0.25, 0.125), NormalizedPath(0.5j, 0.875, 0.75)]
+        shifted = [NormalizedPath(1.0, -0.75, 1.125), NormalizedPath(0.5j, 2.875, -0.25)]
+        np.testing.assert_array_equal(synthesize_downlink(cfg, shifted), synthesize_downlink(cfg, paths))
 
     def test_siso_matches_uplink_with_one_antenna(self):
         cfg = cfg_mn(4, 8)
-        paths = [PathComponent(1.0, 3e-6, 0.2), PathComponent(0.3j, 7e-6, -0.5)]
+        paths = [NormalizedPath(1.0, 0.225, 0.1), NormalizedPath(0.3j, 0.525, 0.76)]
         siso = synthesize_uplink(cfg_mn(1, 8), paths)
         # the reference antenna m = 0 (column M // 2) has steering phase 1
         ref = synthesize_uplink(cfg, paths)[:, cfg.M // 2]
@@ -216,52 +219,8 @@ class TestSynthesis:
 
     def test_siso_two_paths_brute_force(self):
         cfg = cfg_mn(1, 4)
-        paths = [PathComponent(1.0, 2e-6, 0.0), PathComponent(0.5, 6e-6, 0.0)]
+        paths = [NormalizedPath(1.0, 0.15, 0.0), NormalizedPath(0.5, 0.45, 0.0)]
         expected = np.zeros((4, 1), dtype=complex)
         for p in paths:
-            mu = cfg.delta_f * p.delay
-            expected[:, 0] += p.gain * np.exp(2j * np.pi * cfg.subcarrier_indices * mu)
+            expected[:, 0] += p.gain * np.exp(2j * np.pi * cfg.subcarrier_indices * p.mu)
         np.testing.assert_allclose(synthesize_uplink(cfg, paths), expected, rtol=1e-12)
-
-
-class TestNormalization:
-    @given(mu=unit, nu=unit)
-    @settings(max_examples=50)
-    def test_round_trip(self, mu, nu):
-        cfg = cfg_mn(4, 8)
-        npath = NormalizedPath(1.0, mu, nu)
-        back = normalize_path(cfg, denormalize_path(cfg, npath))
-        assert abs(back.mu - mu) <= 1e-12 or abs(abs(back.mu - mu) - 1.0) <= 1e-12
-        assert abs(back.nu - nu) <= 1e-12 or abs(abs(back.nu - nu) - 1.0) <= 1e-12
-
-    @given(d=st.floats(min_value=0.0, max_value=0.5, exclude_min=True), mu=unit, nu=unit)
-    @settings(max_examples=200)
-    def test_round_trip_or_invisible(self, d, mu, nu):
-        # |nu| after unwrapping into [-0.5, 0.5) is nu's wrapped distance from 0
-        cfg = cfg_mn(4, 8, d_over_lambda=d)
-        npath = NormalizedPath(1.0, mu, nu)
-        if wrapped_dist(nu, 0.0) > d:
-            with pytest.raises(ValueError, match="invisible"):
-                denormalize_path(cfg, npath)
-            return
-        back = normalize_path(cfg, denormalize_path(cfg, npath))
-        assert wrapped_dist(back.mu, mu) <= 1e-12
-        assert wrapped_dist(back.nu, nu) <= 1e-12
-
-    def test_invisible_nu_is_not_clipped(self):
-        cfg = cfg_mn(4, 8, d_over_lambda=0.25)
-        with pytest.raises(ValueError, match="invisible"):
-            denormalize_path(cfg, NormalizedPath(1.0, 0.1, 0.4))
-        edge = denormalize_path(cfg, NormalizedPath(1.0, 0.1, 0.75))
-        assert edge.angle == -np.pi / 2
-
-    def test_denormalized_angle_in_front_half(self):
-        cfg = cfg_mn(4, 8)
-        for nu in (0.0, 0.2, 0.49, 0.5, 0.9):
-            p = denormalize_path(cfg, NormalizedPath(1.0, 0.1, nu))
-            assert -np.pi / 2 <= p.angle <= np.pi / 2
-
-    def test_delay_bounds_checked(self):
-        cfg = cfg_mn(2, 4)
-        with pytest.raises(ValueError):
-            PathComponent(1.0, 2.0 / cfg.delta_f, 0.0).validate(cfg)

@@ -17,7 +17,7 @@ from fdd_recon import (
     synthesize_from_normalized,
 )
 from fdd_recon import model, nomp
-from fdd_recon.config import wrap_unit, wrapped_dist
+from fdd_recon.config import wrapped_dists
 from fdd_recon.nomp import (
     MAX_ITERATIONS_PER_PATH,
     NompConfig,
@@ -105,7 +105,7 @@ def dense_newton(cfg, r, g, mu, nu):
         return g, mu, nu, False
     step = np.zeros(2)
     step[axes] = np.linalg.solve(sub, grad[axes])
-    mu_new, nu_new = float(wrap_unit(mu - step[0])), float(wrap_unit(nu - step[1]))
+    mu_new, nu_new = float(np.mod(mu - step[0], 1.0)), float(np.mod(nu - step[1], 1.0))
     g_new = complex(np.vdot(dense_atom(cfg, mu_new, nu_new), r) / cfg.size)
     if dense_objective(cfg, r, g_new, mu_new, nu_new) < dense_objective(cfg, r, g, mu, nu):
         return g, mu, nu, False
@@ -135,8 +135,8 @@ def separated_paths(cfg, L, rng, gain=0.0):
     while len(paths) < L:
         mu, nu = rng.uniform(), rng.uniform()
         if all(
-            (cfg.N > 1 and wrapped_dist(mu, p.mu) >= 1.5 / cfg.N)
-            or (cfg.M > 1 and wrapped_dist(nu, p.nu) >= 1.5 / cfg.M)
+            (cfg.N > 1 and wrapped_dists(mu, p.mu) >= 1.5 / cfg.N)
+            or (cfg.M > 1 and wrapped_dists(nu, p.nu) >= 1.5 / cfg.M)
             for p in paths
         ):
             paths.append(NormalizedPath(gain, mu, nu))
@@ -151,8 +151,8 @@ def assert_same_path(got, ref, rel=1e-9):
     g, mu, nu = got
     g_ref, mu_ref, nu_ref = ref
     assert abs(g - g_ref) <= rel * abs(g_ref)
-    assert wrapped_dist(mu, mu_ref) <= rel
-    assert wrapped_dist(nu, nu_ref) <= rel
+    assert wrapped_dists(mu, mu_ref) <= rel
+    assert wrapped_dists(nu, nu_ref) <= rel
 
 
 # odd and even sizes, and the single-antenna case
@@ -164,8 +164,8 @@ def near_path_residual(cfg, rng, noise=0.3):
     g0 = complex(2.0 * np.exp(2j * np.pi * rng.uniform()))
     mu0, nu0 = rng.uniform(), rng.uniform()
     r = g0 * dense_atom(cfg, mu0, nu0) + make_noise(cfg, rng, noise)
-    mu = float(wrap_unit(mu0 + rng.uniform(-0.2, 0.2) / cfg.N))
-    nu = float(wrap_unit(nu0 + rng.uniform(-0.2, 0.2) / cfg.M))
+    mu = float(np.mod(mu0 + rng.uniform(-0.2, 0.2) / cfg.N, 1.0))
+    nu = float(np.mod(nu0 + rng.uniform(-0.2, 0.2) / cfg.M, 1.0))
     g = complex(np.vdot(dense_atom(cfg, mu, nu), r) / cfg.size)
     return r, g, mu, nu
 
@@ -223,8 +223,8 @@ class TestDenseOracle:
         start = [
             NormalizedPath(
                 p.gain * 0.9,
-                float(wrap_unit(p.mu + rng.uniform(-0.2, 0.2) / cfg.N)),
-                float(wrap_unit(p.nu + rng.uniform(-0.2, 0.2) / cfg.M)),
+                float(np.mod(p.mu + rng.uniform(-0.2, 0.2) / cfg.N, 1.0)),
+                float(np.mod(p.nu + rng.uniform(-0.2, 0.2) / cfg.M, 1.0)),
             )
             for p in truth
         ]
@@ -265,8 +265,8 @@ class TestHeldOutKernel:
         start = [
             NormalizedPath(
                 p.gain * 0.9,
-                float(wrap_unit(p.mu + rng.uniform(-0.3, 0.3) / cfg.N)),
-                float(wrap_unit(p.nu + rng.uniform(-0.3, 0.3) / cfg.M)),
+                float(np.mod(p.mu + rng.uniform(-0.3, 0.3) / cfg.N, 1.0)),
+                float(np.mod(p.nu + rng.uniform(-0.3, 0.3) / cfg.M, 1.0)),
             )
             for p in truth
         ]
@@ -594,8 +594,8 @@ class TestUpdateAllGains:
             (i, j)
             for i in range(len(paths))
             for j in range(i + 1, len(paths))
-            if wrapped_dist(paths[i].mu, paths[j].mu) < nomp.DUPLICATE_TOL
-            and wrapped_dist(paths[i].nu, paths[j].nu) < nomp.DUPLICATE_TOL
+            if wrapped_dists(paths[i].mu, paths[j].mu) < nomp.DUPLICATE_TOL
+            and wrapped_dists(paths[i].nu, paths[j].nu) < nomp.DUPLICATE_TOL
         ]
         assert loop == [(0, 2), (0, 5), (1, 4), (2, 5)]
         with pytest.raises(RankDeficientError) as err:
