@@ -6,8 +6,6 @@ from .config import NormalizedPath, SystemConfig
 from .model import (
     add_noise,
     atom,
-    delay_vector,
-    steering_vector,
     synthesize_downlink,
     synthesize_from_normalized,
     synthesize_uplink,
@@ -36,7 +34,6 @@ from .harness import (
     generate_scenario,
     genie_covariance,
     match_paths,
-    phase_error_law,
     run_crb_experiment,
     run_false_alarm_experiment,
     run_phase_error_experiment,
@@ -46,8 +43,6 @@ from .harness import (
 __all__ = [
     "SystemConfig",
     "NormalizedPath",
-    "steering_vector",
-    "delay_vector",
     "atom",
     "synthesize_uplink",
     "synthesize_downlink",
@@ -82,7 +77,6 @@ __all__ = [
     "add_noise",
     "cdf_points",
     "match_paths",
-    "phase_error_law",
     "run_crb_experiment",
     "run_false_alarm_experiment",
     "run_phase_error_experiment",

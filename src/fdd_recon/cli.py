@@ -274,8 +274,8 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         with open(args.report, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+            payload = _object(json.load(fh), "a report")
+    except (OSError, json.JSONDecodeError, ConfigError) as err:
         print(f"cannot read report: {err}", file=sys.stderr)
         return EXIT_CONFIG
     recomputed = config_hash(payload.get("config", {}))

@@ -483,25 +483,6 @@ def run_false_alarm_experiment(
 # phase-error analysis
 
 
-def phase_error_law(g: complex, tau: float, delta_tau: float, delta_F: float) -> Tuple[float, float]:
-    """Single-antenna single-path consequence of a delay estimation error.
-
-    The gain is re-fit at the reference frequency (0 Hz), which zeroes the
-    in-band error there; direct inference at carrier offset delta_F is then off
-    by the multiplicative phase 2*pi*delta_F*delta_tau.
-
-    Returns (in-band reconstruction error magnitude at the reference frequency,
-    argument of the inferred/true channel ratio at offset delta_F).
-    """
-    tau_hat = tau + delta_tau
-    g_hat = g  # LS fit on the reference sample, where every delay's phase is 1
-    inband_err = abs(g_hat - g)
-    h_true = g * np.exp(2j * np.pi * delta_F * tau)
-    h_inferred = g_hat * np.exp(2j * np.pi * delta_F * tau_hat)
-    ratio_arg = float(np.angle(h_inferred / h_true))
-    return float(inband_err), ratio_arg
-
-
 def run_phase_error_experiment(
     cfg: SystemConfig,
     trials: int,

@@ -17,35 +17,22 @@ from .config import NormalizedPath, SystemConfig
 @lru_cache(maxsize=16)
 def _phase_slopes(cfg: SystemConfig) -> Tuple[np.ndarray, np.ndarray]:
     """j*2*pi*n over the subcarriers and j*2*pi*m over the antennas, built
-    once per config and read-only.  The ramps below scale them by the
-    coordinate wrapped with Python's %, which equals np.mod and costs less on
-    a scalar, so they equal exp(j*2*pi*index*np.mod(x, 1))."""
+    once per config and read-only; ramp_matrices scales them."""
     n = 2j * np.pi * cfg.subcarrier_indices
     m = 2j * np.pi * cfg.antenna_indices
     n.flags.writeable = m.flags.writeable = False
     return n, m
 
 
-def steering_vector(cfg: SystemConfig, nu: float) -> np.ndarray:
-    """ULA phase ramp exp(j*2*pi*m*nu) over the antenna indices."""
-    return np.exp(_phase_slopes(cfg)[1] * (nu % 1.0))
-
-
-def delay_vector(cfg: SystemConfig, mu: float) -> np.ndarray:
-    """OFDM phase ramp exp(j*2*pi*n*mu) over the subcarrier indices."""
-    return np.exp(_phase_slopes(cfg)[0] * (mu % 1.0))
-
-
 def ramp_matrices(cfg: SystemConfig, mus, nus) -> Tuple[np.ndarray, np.ndarray]:
-    """Delay ramps of the mus as the columns of an N x L matrix D and steering
-    ramps of the nus as the columns of an M x L matrix A.  Column l equals
-    delay_vector(cfg, mus[l]) (steering_vector(cfg, nus[l])) bit for bit, so
-    outer(D[:, l], A[:, l]) is the l-th path's atom and D diag(g) A^T the
-    N x M channel of paths with gains g."""
+    """Delay ramps exp(j*2*pi*n*np.mod(mu, 1)) over the subcarrier indices and
+    steering ramps exp(j*2*pi*m*np.mod(nu, 1)) over the antenna indices.  A
+    scalar mu (nu) gives one N-vector (M-vector); a sequence gives the N x L
+    matrix D (M x L matrix A) of its ramps as columns, so outer(D[:, l],
+    A[:, l]) is the l-th path's atom and D diag(g) A^T the N x M channel of
+    paths with gains g."""
     n, m = _phase_slopes(cfg)
-    mus = np.asarray(mus, dtype=float) % 1.0
-    nus = np.asarray(nus, dtype=float) % 1.0
-    return np.exp(n[:, None] * mus), np.exp(m[:, None] * nus)
+    return np.exp(np.multiply.outer(n, np.mod(mus, 1.0))), np.exp(np.multiply.outer(m, np.mod(nus, 1.0)))
 
 
 def atom(cfg: SystemConfig, mu: float, nu: float) -> np.ndarray:
@@ -53,7 +40,7 @@ def atom(cfg: SystemConfig, mu: float, nu: float) -> np.ndarray:
 
     Unit-modulus entries, so ||atom||^2 == M*N for every (mu, nu).
     """
-    return np.outer(delay_vector(cfg, mu), steering_vector(cfg, nu))
+    return np.outer(*ramp_matrices(cfg, mu, nu))
 
 
 def synthesize_from_normalized(cfg: SystemConfig, paths: Sequence[NormalizedPath]) -> np.ndarray:

@@ -9,11 +9,12 @@ from typing import List, Literal, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .config import NormalizedPath, SystemConfig, check_integer, finite_real, wrapped_dists
-from .model import _phase_slopes, atom, delay_vector, ramp_matrices, steering_vector
+from .model import ramp_matrices
 
-# Not called here: the pursuit rebuilds its residuals from ramp matrices.  The
-# name stays a module attribute because perfbench/tracer.py hooks it.
-from .model import synthesize_from_normalized  # noqa: F401
+# Not called here: the pursuit builds its residuals from ramp matrices and
+# forms no atom.  The names stay module attributes because perfbench/tracer.py
+# hooks them.
+from .model import atom, synthesize_from_normalized  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
 
@@ -75,11 +76,9 @@ class NompResult:
 
 
 class _Kernel(NamedTuple):
-    """Per-config constants of the Newton step.  A refinement pass takes them
-    once, so that no step hashes the config for a cache lookup."""
+    """Per-config weights of the Newton step's moments.  A refinement pass
+    looks them up once and passes them to each of its steps."""
 
-    slope_n: np.ndarray  # j*2*pi*n over the subcarriers
-    slope_m: np.ndarray  # j*2*pi*m over the antennas
     # complex-typed, so that products with the ramps need no cast
     wn: np.ndarray  # rows (1, 2*pi*n, (2*pi*n)^2) over the subcarriers
     wm: np.ndarray  # columns (1, 2*pi*m, (2*pi*m)^2) over the antennas
@@ -88,19 +87,13 @@ class _Kernel(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _kernel(cfg: SystemConfig) -> _Kernel:
-    slope_n, slope_m = _phase_slopes(cfg)
     n = TWO_PI * cfg.subcarrier_indices
     m = TWO_PI * cfg.antenna_indices
     wn = np.vstack([np.ones_like(n), n, n**2]).astype(complex)
     wm = np.column_stack([np.ones_like(m), m, m**2]).astype(complex)
     p = np.outer(wn.sum(axis=1), wm.sum(axis=0))
     wn.flags.writeable = wm.flags.writeable = p.flags.writeable = False
-    return _Kernel(slope_n, slope_m, wn, wm, p)
-
-
-def _ramps(k: _Kernel, mu: float, nu: float) -> List[np.ndarray]:
-    """[delay_vector(cfg, mu), steering_vector(cfg, nu)], bit for bit."""
-    return [np.exp(k.slope_n * (mu % 1.0)), np.exp(k.slope_m * (nu % 1.0))]
+    return _Kernel(wn, wm, p)
 
 
 def _moments(k: _Kernel, grid: np.ndarray, d: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -118,12 +111,6 @@ def _derivatives(q: np.ndarray, g: complex):
     # not depend on (mu, nu), so the |g|^2 terms of S drop out of every derivative.
     h = (-2.0 * g) * q
     return h[1, 0].imag, h[0, 1].imag, h[2, 0].real, h[1, 1].real, h[0, 2].real
-
-
-def objective_S(cfg: SystemConfig, residual: np.ndarray, g: complex, mu: float, nu: float) -> float:
-    """2*Re{r^H g u} - |g|^2 ||u||^2; the per-path residual-power reduction."""
-    u = atom(cfg, mu, nu)
-    return float(2.0 * np.real(np.vdot(residual, g * u)) - np.abs(g) ** 2 * cfg.size)
 
 
 def coarse_detect(cfg: SystemConfig, residual: np.ndarray, nomp_cfg: NompConfig) -> Tuple[float, float, float]:
@@ -148,15 +135,7 @@ def _ls_gain(cfg: SystemConfig, grid: np.ndarray, d: np.ndarray, a: np.ndarray) 
 
 def ls_gain_single(cfg: SystemConfig, residual: np.ndarray, mu: float, nu: float) -> complex:
     """Scalar LS gain u^H r / ||u||^2 on the N x M residual."""
-    return _ls_gain(cfg, residual, delay_vector(cfg, mu), steering_vector(cfg, nu))
-
-
-def _grad_hess(cfg: SystemConfig, residual: np.ndarray, g: complex, mu: float, nu: float):
-    """Analytic gradient and Hessian of S with respect to (mu, nu); the
-    residual is S's own, with the path in it."""
-    k = _kernel(cfg)
-    g_mu, g_nu, h_mm, h_mn, h_nn = _derivatives(_moments(k, residual, *_ramps(k, mu, nu)), g)
-    return np.array([g_mu, g_nu]), np.array([[h_mm, h_mn], [h_mn, h_nn]])
+    return _ls_gain(cfg, residual, *ramp_matrices(cfg, mu, nu))
 
 
 def newton_refine(
@@ -165,8 +144,8 @@ def newton_refine(
     g: complex,
     mu: float,
     nu: float,
-    factors: List[np.ndarray] | None = None,
-    kernel: _Kernel | None = None,
+    factors: List[np.ndarray],
+    kernel: _Kernel,
 ) -> Tuple[complex, float, float, bool]:
     """One joint Newton step on (mu, nu), guarded by local concavity.
 
@@ -186,16 +165,12 @@ def newton_refine(
     that row of the Hessian, so there the step is on mu (nu) alone, guarded by
     its own second derivative being negative.
 
-    factors, when given, is the list [delay_vector(cfg, mu),
-    steering_vector(cfg, nu)]; it is used instead of rebuilding the ramps, and
-    after an accepted step it is updated in place to the new (mu, nu)'s ramps.
-    kernel, when given, is _kernel(cfg).
+    factors is the list [d, a] of (mu, nu)'s ramp_matrices, which an accepted
+    step updates in place to the new (mu, nu)'s ramps, and kernel is
+    _kernel(cfg).
     """
-    k = _kernel(cfg) if kernel is None else kernel
-    if factors is None:
-        factors = _ramps(k, mu, nu)
     d, a = factors
-    q = _moments(k, residual, d, a) + complex(g).conjugate() * k.p
+    q = _moments(kernel, residual, d, a) + complex(g).conjugate() * kernel.p
     g_mu, g_nu, h_mm, h_mn, h_nn = _derivatives(q, g)
     if cfg.M > 1 and cfg.N > 1:
         det = h_mm * h_nn - h_mn * h_mn
@@ -213,7 +188,7 @@ def newton_refine(
         step_mu, step_nu = 0.0, g_nu / h_nn
     mu_new = float((mu - step_mu) % 1.0)
     nu_new = float((nu - step_nu) % 1.0)
-    d_new, a_new = _ramps(k, mu_new, nu_new)
+    d_new, a_new = ramp_matrices(cfg, mu_new, nu_new)
     a_conj = a_new.conj()
     g_new = complex((np.vdot(d_new, residual @ a_conj) + g * np.vdot(d_new, d) * (a @ a_conj)) / cfg.size)
     # S = 2 Re{g r^H u} - |g|^2 M N, which is |g|^2 M N at the LS gain
@@ -278,7 +253,7 @@ def cyclic_refine(
     y: np.ndarray,
     paths: Sequence[NormalizedPath],
     rounds: int,
-    factors: List[List[np.ndarray]] | None = None,
+    factors: List[List[np.ndarray]],
 ) -> List[NormalizedPath]:
     """Re-run the Newton step on each path in detection order, rounds times.
 
@@ -288,34 +263,27 @@ def cyclic_refine(
     reads the path's part of the target in closed form, and an accepted step
     costs one rank-two residual update.
 
-    factors, when given, is the list of each path's [delay ramp, steering
-    ramp]; it is used instead of rebuilding the ramps, and it is updated in
-    place to the refined paths' ramps.
+    factors is the list of each path's [delay ramp, steering ramp], which is
+    updated in place to the refined paths' ramps.
     """
     if not paths:
         raise ValueError("cyclic_refine needs at least one path")
     paths = [NormalizedPath(p.gain, p.mu, p.nu) for p in paths]
-    if factors is None:
-        D, A = ramp_matrices(cfg, [p.mu for p in paths], [p.nu for p in paths])
-        factors = [[d, a] for d, a in zip(D.T, A.T)]
-    else:
-        D, A = _stack(factors)
-    _refine_pass(cfg, _residual(y, paths, D, A), paths, factors, rounds, _kernel(cfg))
+    _refine_pass(cfg, _residual(y, paths, *_stack(factors)), paths, factors, rounds, _kernel(cfg))
     return paths
 
 
 def update_all_gains(
-    cfg: SystemConfig, y: np.ndarray, paths: Sequence[NormalizedPath], ramps=None
+    cfg: SystemConfig, y: np.ndarray, paths: Sequence[NormalizedPath], D: np.ndarray, A: np.ndarray
 ) -> List[NormalizedPath]:
     """Joint LS re-fit of all gains from the L x L Gram matrix.
 
-    With the paths' delay ramps as the columns of D (N x L) and steering ramps
-    as those of A (M x L), the atoms' Gram matrix is (D^H D) o (A^H A) and the
+    D (N x L) holds the paths' delay ramps as columns and A (M x L) their
+    steering ramps.  The atoms' Gram matrix is (D^H D) o (A^H A) and the
     right-hand side is b_l = d_l^H Y conj(a_l) on the N x M grid Y, so no
-    atom is formed.  ramps, when given, is (D, A).  The L x L system is
-    solved for its minimum-norm least-squares solution, which stays finite
-    when the Gram is singular (aliased atoms).  Duplicate detections
-    raise RankDeficientError first.
+    atom is formed.  The L x L system is solved for its minimum-norm
+    least-squares solution, which stays finite when the Gram is singular
+    (aliased atoms).  Duplicate detections raise RankDeficientError first.
     """
     coords = np.array([(p.mu, p.nu) for p in paths]).reshape(-1, 2)
     close = wrapped_dists(coords[:, None], coords) < DUPLICATE_TOL
@@ -324,7 +292,6 @@ def update_all_gains(
         i, j = np.nonzero(np.triu(close, 1))
         raise RankDeficientError("duplicate (mu, nu) detections", duplicates=list(zip(i.tolist(), j.tolist())))
 
-    D, A = ramp_matrices(cfg, coords[:, 0], coords[:, 1]) if ramps is None else ramps
     Dh, Ah = D.conj().T, A.conj().T
     gram = (Dh @ D) * (Ah @ A)
     b = np.sum((Dh @ y) * Ah, axis=1)
@@ -387,7 +354,7 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
                 break
 
             mu, nu, _ = coarse_detect(cfg, residual, nomp_cfg)
-            f = _ramps(kernel, mu, nu)
+            f = list(ramp_matrices(cfg, mu, nu))
             g = _ls_gain(cfg, residual, *f)
             path = NormalizedPath(g, mu, nu)
             if nomp_cfg.single_refine_rounds > 0:
@@ -400,13 +367,13 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
                 paths = cyclic_refine(cfg, y, paths, nomp_cfg.cyclic_refine_rounds, factors)
             ramps = _stack(factors)
             try:
-                paths = update_all_gains(cfg, y, paths, ramps)
+                paths = update_all_gains(cfg, y, paths, *ramps)
             except RankDeficientError as err:
                 keep = sorted(set(range(len(paths))) - {j for _, j in err.duplicates})
                 paths = [paths[i] for i in keep]
                 factors = [factors[i] for i in keep]
                 ramps = _stack(factors)
-                paths = update_all_gains(cfg, y, paths, ramps)
+                paths = update_all_gains(cfg, y, paths, *ramps)
             residual = _residual(y, paths, *ramps)
             iterations += 1
 

@@ -18,7 +18,6 @@ from fdd_recon import (
     atom,
     fisher_matrix,
     nomp_extract,
-    phase_error_law,
     run_crb_experiment,
     run_false_alarm_experiment,
     run_phase_error_experiment,
@@ -28,7 +27,7 @@ from fdd_recon import (
 from fdd_recon.downlink import refine_gains
 from fdd_recon.config import wrapped_dists
 from fdd_recon.harness import EqualPowerGrid
-from fdd_recon.nomp import _grad_hess, objective_S
+from oracles import grad_hess, objective_S, phase_error_law
 
 THREADS = int(os.environ.get("FDD_RECON_THREADS", "1"))
 
@@ -319,7 +318,7 @@ def test_criterion_9_numerical_oracles(capsys):
         r = (rng.standard_normal((cfg.N, cfg.M)) + 1j * rng.standard_normal((cfg.N, cfg.M))) / np.sqrt(2)
         g = complex(rng.standard_normal() + 1j * rng.standard_normal())
         mu, nu = rng.uniform(), rng.uniform()
-        grad, hess = _grad_hess(cfg, r, g, mu, nu)
+        grad, hess = grad_hess(cfg, r, g, mu, nu)
 
         def S(m, n):
             return objective_S(cfg, r, g, m, n)

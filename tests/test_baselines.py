@@ -5,13 +5,12 @@ from fdd_recon import (
     KroneckerCovariance,
     NormalizedPath,
     SystemConfig,
-    delay_vector,
     lmmse_filter,
     ls_estimate,
-    steering_vector,
     synthesize_from_normalized,
 )
 from fdd_recon.downlink import PilotPattern
+from fdd_recon.model import ramp_matrices
 from fdd_recon.harness import add_noise
 
 
@@ -21,7 +20,7 @@ def flat_channel(cfg):
 
 def rank_one_covariance(cfg, mu, nu):
     """outer(h, h^H) of the unit-gain atom at (mu, nu), in factored form."""
-    d, a = delay_vector(cfg, mu), steering_vector(cfg, nu)
+    d, a = ramp_matrices(cfg, mu, nu)
     return KroneckerCovariance(np.outer(d, d.conj()), np.outer(a, a.conj()))
 
 

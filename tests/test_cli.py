@@ -360,6 +360,12 @@ class TestVerify:
     def test_unreadable_report(self, tmp_path):
         assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "5", "null"])
+    def test_report_not_an_object_exit2(self, tmp_path, capsys, text):
+        (tmp_path / "report.json").write_text(text, encoding="utf-8")
+        assert main(["verify", str(tmp_path / "report.json")]) == EXIT_CONFIG
+        assert "cannot read report: a report must be a JSON object" in capsys.readouterr().err
+
 
 class TestConfigHash:
     def test_key_order_invariant(self):

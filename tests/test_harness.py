@@ -26,7 +26,6 @@ from fdd_recon import (
     generate_scenario,
     genie_covariance,
     match_paths,
-    phase_error_law,
     run_crb_experiment,
     run_false_alarm_experiment,
     run_phase_error_experiment,
@@ -36,6 +35,7 @@ from fdd_recon import (
 from fdd_recon.config import NormalizedPath, wrapped_dists
 from fdd_recon import harness
 from fdd_recon.harness import DimensionMismatchError, TrialWorkerError, _map_trials, _sweep, mse_linear, to_db
+from oracles import phase_error_law
 
 
 def cfg_mn(M, N, **kw):

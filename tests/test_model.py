@@ -7,8 +7,6 @@ from fdd_recon import (
     NormalizedPath,
     SystemConfig,
     atom,
-    delay_vector,
-    steering_vector,
     synthesize_downlink,
     synthesize_from_normalized,
     synthesize_uplink,
@@ -20,6 +18,14 @@ unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False
 
 def cfg_mn(M, N, **kw):
     return SystemConfig(M=M, N=N, **kw)
+
+
+def delay_ramp(cfg, mu):
+    return ramp_matrices(cfg, mu, 0.0)[0]
+
+
+def steering_ramp(cfg, nu):
+    return ramp_matrices(cfg, 0.0, nu)[1]
 
 
 class TestSystemConfig:
@@ -69,51 +75,52 @@ class TestRampMatrices:
         D, A = ramp_matrices(cfg, xs, xs[::-1])
         assert D.shape == (N, len(xs)) and A.shape == (M, len(xs))
         for col, (mu, nu) in enumerate(zip(xs, xs[::-1])):
-            np.testing.assert_array_equal(delay_vector(cfg, mu), self.reference(cfg.subcarrier_indices, mu))
-            np.testing.assert_array_equal(steering_vector(cfg, nu), self.reference(cfg.antenna_indices, nu))
-            np.testing.assert_array_equal(D[:, col], delay_vector(cfg, mu))
-            np.testing.assert_array_equal(A[:, col], steering_vector(cfg, nu))
+            d, a = ramp_matrices(cfg, mu, nu)
+            np.testing.assert_array_equal(d, self.reference(cfg.subcarrier_indices, mu))
+            np.testing.assert_array_equal(a, self.reference(cfg.antenna_indices, nu))
+            np.testing.assert_array_equal(D[:, col], d)
+            np.testing.assert_array_equal(A[:, col], a)
 
     def test_slopes_cached_read_only_and_ramps_fresh(self):
         cfg = cfg_mn(2, 4)
         n, m = _phase_slopes(cfg)
         assert _phase_slopes(cfg_mn(2, 4))[0] is n
         assert not n.flags.writeable and not m.flags.writeable
-        d = delay_vector(cfg, 0.25)
+        d = delay_ramp(cfg, 0.25)
         d[0] = 0.0
-        assert delay_vector(cfg, 0.25)[0] != 0.0
+        assert delay_ramp(cfg, 0.25)[0] != 0.0
 
 
 class TestSteeringVector:
     def test_zero_frequency(self):
-        np.testing.assert_allclose(steering_vector(cfg_mn(4, 1), 0.0), np.ones(4))
+        np.testing.assert_allclose(steering_ramp(cfg_mn(4, 1), 0.0), np.ones(4))
 
     def test_half_frequency_m2(self):
         # m = -1, 0 -> exp(j*2*pi*m*0.5) = [-1, 1]
-        np.testing.assert_allclose(steering_vector(cfg_mn(2, 1), 0.5), [-1, 1], atol=1e-15)
+        np.testing.assert_allclose(steering_ramp(cfg_mn(2, 1), 0.5), [-1, 1], atol=1e-15)
 
     def test_quarter_frequency_m4(self):
         # m = -2..1 -> exp(j*pi*m/2)
         expected = [np.exp(-1j * np.pi), np.exp(-1j * np.pi / 2), 1, np.exp(1j * np.pi / 2)]
-        np.testing.assert_allclose(steering_vector(cfg_mn(4, 1), 0.25), expected, atol=1e-15)
+        np.testing.assert_allclose(steering_ramp(cfg_mn(4, 1), 0.25), expected, atol=1e-15)
 
     def test_wraps_mod_one(self):
         cfg = cfg_mn(8, 1)
-        np.testing.assert_allclose(steering_vector(cfg, 1.3), steering_vector(cfg, 0.3), atol=1e-12)
+        np.testing.assert_allclose(steering_ramp(cfg, 1.3), steering_ramp(cfg, 0.3), atol=1e-12)
 
 
 class TestDelayVector:
     def test_zero_delay(self):
-        np.testing.assert_allclose(delay_vector(cfg_mn(1, 8), 0.0), np.ones(8))
+        np.testing.assert_allclose(delay_ramp(cfg_mn(1, 8), 0.0), np.ones(8))
 
     def test_quarter_n2(self):
         # n = -1, 0
         np.testing.assert_allclose(
-            delay_vector(cfg_mn(1, 2), 0.25), [np.exp(-1j * np.pi / 2), 1], atol=1e-15
+            delay_ramp(cfg_mn(1, 2), 0.25), [np.exp(-1j * np.pi / 2), 1], atol=1e-15
         )
 
     def test_half_n4(self):
-        np.testing.assert_allclose(delay_vector(cfg_mn(1, 4), 0.5), [1, -1, 1, -1], atol=1e-12)
+        np.testing.assert_allclose(delay_ramp(cfg_mn(1, 4), 0.5), [1, -1, 1, -1], atol=1e-12)
 
 
 class TestAtom:

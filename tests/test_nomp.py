@@ -12,12 +12,11 @@ from fdd_recon import (
     NormalizedPath,
     SystemConfig,
     atom,
-    delay_vector,
-    steering_vector,
     synthesize_from_normalized,
 )
 from fdd_recon import model, nomp
 from fdd_recon.config import wrapped_dists
+from fdd_recon.model import ramp_matrices
 from fdd_recon.nomp import (
     MAX_ITERATIONS_PER_PATH,
     NompConfig,
@@ -29,12 +28,11 @@ from fdd_recon.nomp import (
     ls_gain_single,
     newton_refine,
     nomp_extract,
-    objective_S,
     stopping_false_alarm,
     stopping_power,
     update_all_gains,
 )
-from fdd_recon.nomp import _grad_hess
+from oracles import grad_hess, objective_S
 
 
 def make_noise(cfg, rng, variance=1.0):
@@ -58,13 +56,29 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def ramps_of(cfg, paths):
+    """The paths' ramp matrices (D, A), as update_all_gains takes them."""
+    return ramp_matrices(cfg, [p.mu for p in paths], [p.nu for p in paths])
+
+
+def factors_of(cfg, paths):
+    """Each path's [delay ramp, steering ramp], as cyclic_refine takes them."""
+    D, A = ramps_of(cfg, paths)
+    return [[d, a] for d, a in zip(D.T, A.T)]
+
+
+def newton_args(cfg, mu, nu):
+    """newton_refine's factors and kernel at (mu, nu)."""
+    return list(ramp_matrices(cfg, mu, nu)), nomp._kernel(cfg)
+
+
 # Dense reference for the Newton kernel: the formulas with Kronecker atoms and
 # index ramps over all MN entries that the moment form replaced.  Entry
 # n * M + m of a Kronecker product is entry (n, m) of the N x M grid.
 
 
 def dense_atom(cfg, mu, nu):
-    return np.kron(delay_vector(cfg, mu), steering_vector(cfg, nu)).reshape(cfg.N, cfg.M)
+    return np.kron(*ramp_matrices(cfg, mu, nu)).reshape(cfg.N, cfg.M)
 
 
 def dense_index_ramps(cfg):
@@ -179,7 +193,7 @@ class TestDenseOracle:
         r = make_noise(cfg, rng)
         g = complex(rng.standard_normal() + 1j * rng.standard_normal())
         mu, nu = rng.uniform(), rng.uniform()
-        grad, hess = _grad_hess(cfg, r, g, mu, nu)
+        grad, hess = grad_hess(cfg, r, g, mu, nu)
         grad_ref, hess_ref = dense_grad_hess(cfg, r, g, mu, nu)
         assert_close_rel(grad, grad_ref)
         assert_close_rel(hess, hess_ref)
@@ -189,7 +203,7 @@ class TestDenseOracle:
     def test_newton_refine_values_and_flag(self, M, N, seed):
         cfg = SystemConfig(M=M, N=N)
         r, g, mu, nu = near_path_residual(cfg, np.random.default_rng(seed))
-        *got, applied = newton_refine(cfg, held_out(cfg, r, g, mu, nu), g, mu, nu)
+        *got, applied = newton_refine(cfg, held_out(cfg, r, g, mu, nu), g, mu, nu, *newton_args(cfg, mu, nu))
         *ref, applied_ref = dense_newton(cfg, r, g, mu, nu)
         assert applied == applied_ref
         # near a path the step is taken, on one coordinate alone when the other
@@ -206,7 +220,7 @@ class TestDenseOracle:
         r = g0 * dense_atom(cfg, mu0, nu0)
         _, hess = dense_grad_hess(cfg, r, -g0, mu0, nu0)
         assert hess[0, 0] > 0.0
-        got = newton_refine(cfg, held_out(cfg, r, -g0, mu0, nu0), -g0, mu0, nu0)
+        got = newton_refine(cfg, held_out(cfg, r, -g0, mu0, nu0), -g0, mu0, nu0, *newton_args(cfg, mu0, nu0))
         assert got == dense_newton(cfg, r, -g0, mu0, nu0)
         assert got == (-g0, mu0, nu0, False)
 
@@ -228,7 +242,7 @@ class TestDenseOracle:
             )
             for p in truth
         ]
-        out = cyclic_refine(cfg, y, start, rounds=3)
+        out = cyclic_refine(cfg, y, start, 3, factors_of(cfg, start))
         ref = dense_cyclic(cfg, y, start, rounds=3)
         for a, b in zip(out, ref):
             assert_same_path((a.gain, a.mu, a.nu), (b.gain, b.mu, b.nu))
@@ -245,7 +259,7 @@ class TestHeldOutKernel:
         rng = np.random.default_rng(seed)
         r = make_noise(cfg, rng)
         g = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        d, a = delay_vector(cfg, rng.uniform()), steering_vector(cfg, rng.uniform())
+        d, a = ramp_matrices(cfg, rng.uniform(), rng.uniform())
         k = nomp._kernel(cfg)
         n, m = 2 * np.pi * cfg.subcarrier_indices, 2 * np.pi * cfg.antenna_indices
         p = np.array([[np.sum(n**j) * np.sum(m**i) for i in range(3)] for j in range(3)])
@@ -278,7 +292,7 @@ class TestHeldOutKernel:
             return result
 
         monkeypatch.setattr(nomp, "newton_refine", counted)
-        out = cyclic_refine(cfg, y, start, rounds=3)
+        out = cyclic_refine(cfg, y, start, 3, factors_of(cfg, start))
         assert accepted[True] >= 40 and sum(accepted.values()) == 45
         for a, b in zip(out, dense_cyclic(cfg, y, start, rounds=3)):
             assert_same_path((a.gain, a.mu, a.nu), (b.gain, b.mu, b.nu))
@@ -300,7 +314,7 @@ class TestHeldOutKernel:
             return result
 
         monkeypatch.setattr(nomp, "newton_refine", spy)
-        out = cyclic_refine(cfg, y, start, rounds=2)
+        out = cyclic_refine(cfg, y, start, 2, factors_of(cfg, start))
         assert [(p.gain, p.mu, p.nu) for p in out] == [(p.gain, p.mu, p.nu) for p in start]
         assert len(seen) == 4
         for r in seen[1:]:
@@ -429,7 +443,8 @@ class TestNewtonRefine:
         cfg = SystemConfig(M=4, N=8)
         g0, mu0, nu0 = 1.2 - 0.4j, 0.27, 0.61
         # the residual with the path held out is zero
-        g, mu, nu, _ = newton_refine(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), g0, mu0, nu0)
+        zero = np.zeros((cfg.N, cfg.M), dtype=complex)
+        g, mu, nu, _ = newton_refine(cfg, zero, g0, mu0, nu0, *newton_args(cfg, mu0, nu0))
         assert abs(mu - mu0) <= 1e-12
         assert abs(nu - nu0) <= 1e-12
 
@@ -440,7 +455,7 @@ class TestNewtonRefine:
         r = make_noise(cfg, rng)
         g = complex(rng.standard_normal() + 1j * rng.standard_normal())
         mu, nu = rng.uniform(), rng.uniform()
-        grad, hess = _grad_hess(cfg, r, g, mu, nu)
+        grad, hess = grad_hess(cfg, r, g, mu, nu)
 
         h = 1e-6
 
@@ -476,7 +491,7 @@ class TestNewtonRefine:
         # is geometric rather than quadratic; five accepted steps suffice
         accepted = 0
         while accepted < 5:
-            g, mu, nu, ok = newton_refine(cfg, held_out(cfg, y, g, mu, nu), g, mu, nu)
+            g, mu, nu, ok = newton_refine(cfg, held_out(cfg, y, g, mu, nu), g, mu, nu, *newton_args(cfg, mu, nu))
             assert ok
             accepted += 1
         assert abs(mu - truth.mu) <= 1e-8 / cfg.N
@@ -488,7 +503,8 @@ class TestNewtonRefine:
         truth = NormalizedPath(1.5 - 0.5j, 0.1234, 0.0)
         y = synthesize_from_normalized(cfg, [truth])
         g0 = ls_gain_single(cfg, y, 0.125, 0.0)
-        g, mu, nu, ok = newton_refine(cfg, held_out(cfg, y, g0, 0.125, 0.0), g0, 0.125, 0.0)
+        r = held_out(cfg, y, g0, 0.125, 0.0)
+        g, mu, nu, ok = newton_refine(cfg, r, g0, 0.125, 0.0, *newton_args(cfg, 0.125, 0.0))
         assert ok and nu == 0.0
         assert abs(mu - truth.mu) < abs(0.125 - truth.mu)
         res = nomp_extract(y, cfg, NompConfig())
@@ -498,7 +514,8 @@ class TestNewtonRefine:
     def test_guard_rejects_indefinite_hessian(self):
         cfg = SystemConfig(M=4, N=8)
         # zero residual and zero gain: Hessian is zero, guard must reject
-        g, mu, nu, ok = newton_refine(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), 0.0, 0.3, 0.3)
+        zero = np.zeros((cfg.N, cfg.M), dtype=complex)
+        g, mu, nu, ok = newton_refine(cfg, zero, 0.0, 0.3, 0.3, *newton_args(cfg, 0.3, 0.3))
         assert not ok
         assert (mu, nu) == (0.3, 0.3)
 
@@ -508,7 +525,7 @@ class TestCyclicRefine:
         cfg = SystemConfig(M=4, N=8)
         p = NormalizedPath(1.0 + 2j, 0.3, 0.8)
         y = synthesize_from_normalized(cfg, [p])
-        out = cyclic_refine(cfg, y, [p], rounds=2)
+        out = cyclic_refine(cfg, y, [p], 2, factors_of(cfg, [p]))
         assert abs(out[0].mu - p.mu) <= 1e-9
         assert abs(out[0].nu - p.nu) <= 1e-9
 
@@ -516,7 +533,7 @@ class TestCyclicRefine:
         cfg = SystemConfig(M=4, N=8)
         paths = [NormalizedPath(1.0, 1 / 8, 1 / 4), NormalizedPath(2.0, 3 / 8, 3 / 4)]
         y = synthesize_from_normalized(cfg, paths)
-        out = cyclic_refine(cfg, y, paths, rounds=3)
+        out = cyclic_refine(cfg, y, paths, 3, factors_of(cfg, paths))
         for a, b in zip(out, paths):
             assert abs(a.mu - b.mu) <= 1e-9
             assert abs(a.nu - b.nu) <= 1e-9
@@ -534,14 +551,14 @@ class TestCyclicRefine:
             NormalizedPath(0.7j, 0.31 + 1.3 / cfg.N, 0.42 + 0.1 / cfg.M),
         ]
         before = np.linalg.norm(y - synthesize_from_normalized(cfg, start)) ** 2
-        out = cyclic_refine(cfg, y, start, rounds=3)
+        out = cyclic_refine(cfg, y, start, 3, factors_of(cfg, start))
         after = np.linalg.norm(y - synthesize_from_normalized(cfg, out)) ** 2
         assert after <= before + 1e-12
 
     def test_empty_paths_rejected(self):
         cfg = SystemConfig(M=2, N=2)
         with pytest.raises(ValueError):
-            cyclic_refine(cfg, np.zeros((2, 2), dtype=complex), [], rounds=1)
+            cyclic_refine(cfg, np.zeros((2, 2), dtype=complex), [], 1, [])
 
 
 class TestUpdateAllGains:
@@ -554,14 +571,15 @@ class TestUpdateAllGains:
         ]
         g_true = np.array([1.0 + 1j, -0.5, 2.0j])
         y = sum(g * atom(cfg, p.mu, p.nu) for g, p in zip(g_true, paths))
-        out = update_all_gains(cfg, y, paths)
+        out = update_all_gains(cfg, y, paths, *ramps_of(cfg, paths))
         np.testing.assert_allclose([p.gain for p in out], g_true, rtol=1e-9)
 
     def test_single_path_reduces_to_scalar_ls(self):
         cfg = SystemConfig(M=4, N=8)
         rng = np.random.default_rng(5)
         y = make_noise(cfg, rng)
-        out = update_all_gains(cfg, y, [NormalizedPath(0.0, 0.3, 0.7)])
+        paths = [NormalizedPath(0.0, 0.3, 0.7)]
+        out = update_all_gains(cfg, y, paths, *ramps_of(cfg, paths))
         assert out[0].gain == pytest.approx(ls_gain_single(cfg, y, 0.3, 0.7))
 
     def test_matches_normal_equations_oracle(self):
@@ -574,7 +592,7 @@ class TestUpdateAllGains:
         ]
         U = atom_columns(cfg, paths)
         y = (U @ np.array([1.0, 2.0, -1j])).reshape(cfg.N, cfg.M) + make_noise(cfg, rng)
-        out = update_all_gains(cfg, y, paths)
+        out = update_all_gains(cfg, y, paths, *ramps_of(cfg, paths))
         oracle = np.linalg.solve(U.conj().T @ U, U.conj().T @ y.ravel())
         np.testing.assert_allclose([p.gain for p in out], oracle, rtol=1e-7)
 
@@ -582,7 +600,7 @@ class TestUpdateAllGains:
         cfg = SystemConfig(M=4, N=8)
         paths = [NormalizedPath(1.0, 0.3, 0.7), NormalizedPath(1.0, 0.3 + 1e-12, 0.7)]
         with pytest.raises(RankDeficientError):
-            update_all_gains(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), paths)
+            update_all_gains(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), paths, *ramps_of(cfg, paths))
 
     def test_duplicate_pairs_match_the_pairwise_loop(self):
         # exact, near (1e-12) and wrapped (1 - 1e-12 against 0) duplicates,
@@ -599,9 +617,9 @@ class TestUpdateAllGains:
         ]
         assert loop == [(0, 2), (0, 5), (1, 4), (2, 5)]
         with pytest.raises(RankDeficientError) as err:
-            update_all_gains(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), paths)
+            update_all_gains(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), paths, *ramps_of(cfg, paths))
         assert err.value.duplicates == loop
-        assert update_all_gains(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), []) == []
+        assert update_all_gains(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), [], *ramps_of(cfg, [])) == []
 
     def test_duplicates_raise_before_any_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -612,7 +630,7 @@ class TestUpdateAllGains:
         cfg = SystemConfig(M=4, N=8)
         paths = [NormalizedPath(1.0, 0.3, 0.7), NormalizedPath(1.0, 0.3 + 1e-12, 0.7)]
         with pytest.raises(RankDeficientError):
-            update_all_gains(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), paths)
+            update_all_gains(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), paths, *ramps_of(cfg, paths))
 
     # odd and even sizes, one antenna and one subcarrier
     @pytest.mark.parametrize("M,N", [(8, 16), (5, 33), (7, 12), (1, 64), (40, 1)])
@@ -624,7 +642,7 @@ class TestUpdateAllGains:
         U = atom_columns(cfg, paths)
         g = rng.standard_normal(L) + 1j * rng.standard_normal(L)
         y = (U @ g).reshape(cfg.N, cfg.M) + make_noise(cfg, rng, 0.1)
-        out = update_all_gains(cfg, y, paths)
+        out = update_all_gains(cfg, y, paths, *ramps_of(cfg, paths))
         dense, _, _, _ = np.linalg.lstsq(U, y.ravel(), rcond=None)
         np.testing.assert_allclose([p.gain for p in out], dense, rtol=1e-9)
 
@@ -635,7 +653,7 @@ class TestUpdateAllGains:
         paths = [NormalizedPath(0.0, 0.3, 0.1), NormalizedPath(0.0, 0.3, 0.6)]
         U = atom_columns(cfg, paths)
         y = (2.0 * U[:, 0]).reshape(cfg.N, cfg.M) + make_noise(cfg, np.random.default_rng(8), 0.1)
-        gains = np.array([p.gain for p in update_all_gains(cfg, y, paths)])
+        gains = np.array([p.gain for p in update_all_gains(cfg, y, paths, *ramps_of(cfg, paths))])
         dense, _, _, _ = np.linalg.lstsq(U, y.ravel(), rcond=None)
         assert np.all(np.isfinite(gains))
         assert np.linalg.norm(y.ravel() - U @ gains) == pytest.approx(np.linalg.norm(y.ravel() - U @ dense), rel=1e-9)
@@ -768,14 +786,14 @@ class TestFactoredPursuit:
 
         for module in (nomp, model):
             monkeypatch.setattr(module, "atom", counted("atom", module.atom))
-        monkeypatch.setattr(nomp, "delay_vector", counted("delay", nomp.delay_vector))
+        monkeypatch.setattr(nomp, "ramp_matrices", counted("ramps", nomp.ramp_matrices))
         monkeypatch.setattr(nomp, "newton_refine", counted("newton", nomp.newton_refine))
         monkeypatch.setattr(nomp, "cyclic_refine", cyclic)
         res = nomp_extract(y, cfg, NompConfig(max_paths=15))
         assert len(res.paths) == 15
         assert counts["atom", False] + counts["atom", True] == 0
         assert counts["newton", True] > 0
-        assert counts["delay", True] <= 2 * counts["newton", True]
+        assert counts["ramps", True] <= 2 * counts["newton", True]
 
 
 class TestBoundedPursuit:
