@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -19,6 +20,8 @@ from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List
+
+import numpy as np
 
 from .config import SystemConfig, check_integer, finite_real
 from .downlink import PilotPattern
@@ -88,6 +91,23 @@ def _worker_count(flag: int | None) -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ConfigError(f"--threads / FDD_RECON_THREADS must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+def _single_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread unless OPENBLAS_NUM_THREADS
+    or OMP_NUM_THREADS sets its count: each trial worker is pinned to one CPU,
+    which OpenBLAS's own threads would share.  Forked workers inherit it."""
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    found = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+    try:
+        if not found:
+            raise OSError("numpy bundles no scipy_openblas64 library")
+        setter = ctypes.CDLL(str(found[0])).scipy_openblas_set_num_threads64_
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+    except (OSError, AttributeError) as err:
+        print(f"warning: BLAS thread count left as it is (set OPENBLAS_NUM_THREADS=1): {err}", file=sys.stderr)
 
 
 def config_hash(config: Dict[str, Any]) -> str:
@@ -243,6 +263,7 @@ def _out_dir(config: Dict[str, Any], flag: str | None) -> Path:
 
 
 def _cmd_run(args) -> int:
+    _single_blas_thread()
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)

@@ -4,12 +4,9 @@
 # its RNG from SeedSequence((seed, s, t)) so reports are bit-identical at any
 # worker count.
 #
-# Trials run on `threads` trial workers: this process and forked copies of
-# it, each pinned to one CPU (a trial holds the GIL, so threads could not run
-# two at once).  On a 2-core machine, 2 workers ran the 15-path CRB trials
-# (M=32, N=128, 2 trials per SNR point) at 1.75 times the rate of one (26.2
-# against 15.0 trials/s, medians of ten benchmark runs each); with the
-# pursuit's held-out Newton step they run at 34.4 trials/s.
+# Trials run on `threads` trial workers: this process and copies of it forked
+# once per experiment run, each pinned to one CPU (a trial holds the GIL, so
+# threads could not run two at once).
 from __future__ import annotations
 
 import os
@@ -257,10 +254,11 @@ def _trial_worker(
 
 def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
     """[fn(t) for t in range(trials)] on workers = min(threads, trials) trial
-    workers, trial t on worker t % workers.
+    workers, job t on worker t % workers.  _sweep makes one call per run with
+    a job per (point, trial), so the workers fork once per run.
 
     Worker 0 is this process.  Workers 1.. are forked here, so they inherit fn
-    and the sweep point it closes over (neither pickles), and send back only
+    and the sweep points it closes over (neither pickles), and send back only
     their pickled results, or the exception they raised, through a pipe.
     This process runs on the first CPU of its affinity mask and worker w on
     CPU w mod the mask's size, because a forked child stays on its parent's
@@ -327,17 +325,18 @@ def _sweep(
 ) -> List[list]:
     """results[s][t] = trial(point_s, rng) with rng from SeedSequence((seed, s, t)).
 
-    The points are taken one at a time, so set-up that a generator of points
-    does per point (an SNR's LMMSE filter) runs just before that point's trials.
+    Every point is built first; then one trial map runs every (point, trial)
+    as job i = s * trials + t, so the workers fork once per run.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if threads < 1:
         raise ValueError(f"threads (trial workers) must be >= 1, got {threads}")
-    return [
-        _map_trials(lambda t, s=s, point=point: trial(point, _trial_rng(seed, s, t)), trials, threads)
-        for s, point in enumerate(points)
-    ]
+    points = list(points)
+    results = _map_trials(
+        lambda i: trial(points[i // trials], _trial_rng(seed, *divmod(i, trials))), len(points) * trials, threads
+    )
+    return [results[i : i + trials] for i in range(0, len(results), trials)]
 
 
 def _db_curves(
@@ -640,12 +639,9 @@ def run_reconstruction_experiment(
         out["lmmse"] = mse_linear(W @ y_p, h_dl)
         return out
 
-    # a generator, so each SNR's LMMSE filter is built just before its trials;
     # the filter for covariance snr * R under unit noise is R's under noise 1/snr
-    points = (
-        (snr, lmmse_filter(baseline_pattern, cfg, base_cov, noise_variance=1.0 / snr))
-        for snr in (10.0 ** (snr_db / 10.0) for snr_db in snr_list_db)
-    )
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in snr_list_db]
+    points = [(snr, lmmse_filter(baseline_pattern, cfg, base_cov, noise_variance=1.0 / snr)) for snr in snrs]
     sweep = _sweep(points, trials, seed, threads, trial)
     curves, per_trial = _db_curves(names, sweep)
     flagged_per_snr = [sum(r["flagged"] for r in point) for point in sweep]

@@ -113,20 +113,20 @@ def _derivatives(q: np.ndarray, g: complex):
     return h[1, 0].imag, h[0, 1].imag, h[2, 0].real, h[1, 1].real, h[0, 2].real
 
 
-def coarse_detect(cfg: SystemConfig, residual: np.ndarray, nomp_cfg: NompConfig) -> Tuple[float, float, float]:
-    """Argmax of |u^H r|^2 / ||u||^2 over the over-sampled 2D grid.
+def grid_power(cfg: SystemConfig, residual: np.ndarray, nomp_cfg: NompConfig) -> np.ndarray:
+    """|u^H r|^2 / ||u||^2 on the (gamma1 N) x (gamma2 M) over-sampled grid,
+    from a zero-padded 2D FFT of the N x M residual (the index-offset phase
+    factors are unimodular).  Every (gamma1, gamma2)-th bin is the N x M DFT's."""
+    spectrum = np.fft.fft2(residual, s=(nomp_cfg.gamma1 * cfg.N, nomp_cfg.gamma2 * cfg.M))
+    return (spectrum.real**2 + spectrum.imag**2) / cfg.size
 
-    Evaluated with a zero-padded 2D FFT of the N x M residual; the
-    index-offset phase factors are unimodular so they drop out of the argmax.
-    Ties break to the lexicographically smallest (k1, k2).
-    """
-    g1n = nomp_cfg.gamma1 * cfg.N
-    g2m = nomp_cfg.gamma2 * cfg.M
-    spectrum = np.fft.fft2(residual, s=(g1n, g2m))
-    power = np.abs(spectrum) ** 2 / cfg.size
+
+def coarse_detect(power: np.ndarray) -> Tuple[float, float, float]:
+    """Argmax (mu, nu, power) of grid_power's over-sampled grid.  Ties break
+    to the lexicographically smallest (k1, k2)."""
     flat = int(np.argmax(power))  # first occurrence = smallest (k1, k2)
-    k1, k2 = divmod(flat, g2m)
-    return k1 / g1n, k2 / g2m, float(power.flat[flat])
+    k1, k2 = divmod(flat, power.shape[1])
+    return k1 / power.shape[0], k2 / power.shape[1], float(power.flat[flat])
 
 
 def _ls_gain(cfg: SystemConfig, grid: np.ndarray, d: np.ndarray, a: np.ndarray) -> complex:
@@ -309,18 +309,14 @@ def false_alarm_threshold(cfg: SystemConfig, p_fa: float) -> float:
     return float(np.log(cfg.size) - np.log(-np.log1p(-p_fa)))
 
 
-def stopping_false_alarm(cfg: SystemConfig, residual: np.ndarray, p_fa: float) -> bool:
-    """True when the per-atom matched-filter energy |u^H r|^2 / (M*N) stays
-    below the extreme-value threshold on every non-over-sampled grid point."""
-    spectrum = np.fft.fft2(residual)
-    stat = np.abs(spectrum) ** 2 / cfg.size
-    return bool(stat.max() < false_alarm_threshold(cfg, p_fa))
-
-
-def _stopping_fires(cfg: SystemConfig, residual: np.ndarray, rule: StoppingRule) -> bool:
+def _stopping_fires(cfg: SystemConfig, residual: np.ndarray, power: np.ndarray | None, nomp_cfg: NompConfig) -> bool:
+    """The stopping rule.  The false-alarm rule fires when the residual's
+    grid_power stays below the extreme-value threshold on the N x M DFT's
+    bins; the power rule reads the residual alone and takes power=None."""
+    rule = nomp_cfg.stopping
     if rule.variant == "power":
         return stopping_power(cfg, residual)
-    return stopping_false_alarm(cfg, residual, rule.p_fa)
+    return bool(power[:: nomp_cfg.gamma1, :: nomp_cfg.gamma2].max() < false_alarm_threshold(cfg, rule.p_fa))
 
 
 def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> NompResult:
@@ -343,7 +339,10 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
     # a finite y so large that the pursuit's sums overflow raises FloatingPointError
     with np.errstate(over="raise", invalid="raise"):
         while True:
-            if _stopping_fires(cfg, residual, nomp_cfg.stopping):
+            # one spectrum per iteration serves the false-alarm rule and the
+            # detection; the power rule decides without it
+            power = None if nomp_cfg.stopping.variant == "power" else grid_power(cfg, residual, nomp_cfg)
+            if _stopping_fires(cfg, residual, power, nomp_cfg):
                 stop_reason = "criterion"
                 break
             if len(paths) >= max_paths:
@@ -353,7 +352,7 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
                 stop_reason = "stalled"
                 break
 
-            mu, nu, _ = coarse_detect(cfg, residual, nomp_cfg)
+            mu, nu, _ = coarse_detect(grid_power(cfg, residual, nomp_cfg) if power is None else power)
             f = list(ramp_matrices(cfg, mu, nu))
             g = _ls_gain(cfg, residual, *f)
             path = NormalizedPath(g, mu, nu)

@@ -1,6 +1,7 @@
 """Reference math that only the tests use: the pursuit's per-path objective,
 its analytic gradient and Hessian built from the pursuit's own moment code,
-and the single-path phase-error law."""
+the false-alarm stopping rule on its own N x M FFT, and the single-path
+phase-error law."""
 from typing import Tuple
 
 import numpy as np
@@ -22,6 +23,14 @@ def grad_hess(cfg: SystemConfig, residual: np.ndarray, g: complex, mu: float, nu
     q = nomp._moments(nomp._kernel(cfg), residual, *ramp_matrices(cfg, mu, nu))
     g_mu, g_nu, h_mm, h_mn, h_nn = nomp._derivatives(q, g)
     return np.array([g_mu, g_nu]), np.array([[h_mm, h_mn], [h_mn, h_nn]])
+
+
+def stopping_false_alarm(cfg: SystemConfig, residual: np.ndarray, p_fa: float) -> bool:
+    """True when the per-atom matched-filter energy |u^H r|^2 / (M*N) stays
+    below the extreme-value threshold on every non-over-sampled grid point."""
+    spectrum = np.fft.fft2(residual)
+    stat = np.abs(spectrum) ** 2 / cfg.size
+    return bool(stat.max() < nomp.false_alarm_threshold(cfg, p_fa))
 
 
 def phase_error_law(g: complex, tau: float, delta_tau: float, delta_F: float) -> Tuple[float, float]:

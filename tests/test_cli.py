@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fdd_recon import cli
 from fdd_recon.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, config_hash, main
 
 COMMITTED_CONFIGS = sorted((Path(__file__).parent.parent / "scripts" / "configs").glob("*.json"))
@@ -339,6 +344,62 @@ class TestRun:
         assert not out.exists()
         # the flag, when given, is the count and the variable is not read
         assert main(["run", str(cfg_path), "--out", str(out), "--threads", "2"]) == EXIT_OK
+
+
+OPENBLAS = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+
+# Runs `fdd-recon run` in a child process with the experiment replaced by a
+# probe that prints OpenBLAS's thread count before the CLI started, in the CLI
+# process, and in a forked trial worker.
+BLAS_PROBE = """
+import ctypes, json, sys
+from fdd_recon import cli, harness
+
+count = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_
+count.argtypes, count.restype = [], ctypes.c_int
+before = count()
+
+def probe(config, out_dir, threads):
+    counts = harness._map_trials(lambda t: count(), 2, 2)
+    print(json.dumps({"before": before, "cli": counts[0], "worker": counts[1]}))
+    raise SystemExit(0)
+
+cli.run_from_config = probe
+cli.main(["run", sys.argv[2]])
+"""
+
+
+@pytest.mark.skipif(not OPENBLAS or not hasattr(os, "fork"), reason="numpy's bundled OpenBLAS and os.fork")
+class TestBlasThreads:
+    def probe(self, tmp_path, **variables):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env.update(variables, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+        command = [sys.executable, "-c", BLAS_PROBE, str(OPENBLAS[0]), str(write_config(tmp_path, BASE_CONFIG))]
+        out = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60, check=True)
+        return json.loads(out.stdout)
+
+    def test_run_sets_one_thread_in_the_cli_and_its_workers(self, tmp_path):
+        counts = self.probe(tmp_path)
+        assert (counts["cli"], counts["worker"]) == (1, 1)
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_set_thread_variable_is_left_alone(self, tmp_path, variable):
+        counts = self.probe(tmp_path, **{variable: "2"})
+        assert counts["cli"] == counts["worker"] == counts["before"]
+
+
+def no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("loader", [no_library, lambda path: object()], ids=["no library", "no symbol"])
+def test_blas_without_the_setter_warns_and_goes_on(monkeypatch, capsys, loader):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(cli.ctypes, "CDLL", loader)
+    cli._single_blas_thread()
+    assert "warning: BLAS thread count left as it is" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -398,7 +398,8 @@ class TestExperiments:
         ]
         assert out == expected
         assert _sweep(range(2), 3, 7, 3, trial) == expected
-        assert events[:8] == [("set-up", 0)] + [("trial", 0)] * 3 + [("set-up", 1)] + [("trial", 1)] * 3
+        # every point is built before the first trial runs
+        assert events[:8] == [("set-up", 0), ("set-up", 1)] + [("trial", 0)] * 3 + [("trial", 1)] * 3
 
     def test_crb_experiment_shape_and_determinism(self):
         cfg = cfg_mn(4, 16)
@@ -558,6 +559,24 @@ class TestTrialWorkers:
     def test_worker_that_dies_without_a_result_raises_a_typed_error(self):
         with time_limit(30), pytest.raises(TrialWorkerError, match="trial worker 1 exited with status 3"):
             _map_trials(lambda t: os._exit(3) if t == 1 else t, 4, 2)
+        assert_no_child_left()
+
+    def test_sweep_forks_its_workers_once_per_run(self, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        def trial(point, rng):
+            return point, int(rng.integers(1 << 62))
+
+        serial = _sweep(range(3), 4, 7, 1, trial)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        with time_limit(30):
+            assert _sweep(range(3), 4, 7, 2, trial) == serial
+        assert len(forks) == 1
         assert_no_child_left()
 
     def test_parent_failure_while_a_worker_sends_a_large_payload(self):

@@ -25,14 +25,14 @@ from fdd_recon.nomp import (
     coarse_detect,
     cyclic_refine,
     false_alarm_threshold,
+    grid_power,
     ls_gain_single,
     newton_refine,
     nomp_extract,
-    stopping_false_alarm,
     stopping_power,
     update_all_gains,
 )
-from oracles import grad_hess, objective_S
+from oracles import grad_hess, objective_S, stopping_false_alarm
 
 
 def make_noise(cfg, rng, variance=1.0):
@@ -381,21 +381,21 @@ class TestCoarseDetect:
         cfg = SystemConfig(M=4, N=8)
         nc = NompConfig(gamma1=2, gamma2=2)
         mu0, nu0 = 3 / 16, 5 / 8
-        mu, nu, score = coarse_detect(cfg, atom(cfg, mu0, nu0), nc)
+        mu, nu, score = coarse_detect(grid_power(cfg, atom(cfg, mu0, nu0), nc))
         assert (mu, nu) == (mu0, nu0)
         assert score == pytest.approx(cfg.size, rel=1e-9)
 
     def test_zero_residual_tie_breaks_to_origin(self):
         cfg = SystemConfig(M=4, N=8)
         nc = NompConfig(gamma1=2, gamma2=2)
-        mu, nu, score = coarse_detect(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), nc)
+        mu, nu, score = coarse_detect(grid_power(cfg, np.zeros((cfg.N, cfg.M), dtype=complex), nc))
         assert (mu, nu, score) == (0.0, 0.0, 0.0)
 
     def test_off_grid_path_hits_nearest_cell(self):
         cfg = SystemConfig(M=4, N=8)
         nc = NompConfig(gamma1=2, gamma2=2)
         mu0, nu0 = 0.1306, 0.37
-        mu, nu, _ = coarse_detect(cfg, atom(cfg, mu0, nu0), nc)
+        mu, nu, _ = coarse_detect(grid_power(cfg, atom(cfg, mu0, nu0), nc))
         assert abs(mu - mu0) <= 1 / (2 * 2 * cfg.N)
         assert abs(nu - nu0) <= 1 / (2 * 2 * cfg.M)
 
@@ -411,9 +411,22 @@ class TestCoarseDetect:
                 s = abs(np.vdot(atom(cfg, mu, nu), r)) ** 2 / cfg.size
                 if best is None or s > best[2]:
                     best = (mu, nu, s)
-        mu, nu, score = coarse_detect(cfg, r, nc)
+        mu, nu, score = coarse_detect(grid_power(cfg, r, nc))
         assert (mu, nu) == (best[0], best[1])
         assert score == pytest.approx(best[2], rel=1e-9)
+
+    @pytest.mark.parametrize("gammas", [(1, 1), (2, 2), (2, 4), (3, 1)])
+    @pytest.mark.parametrize("M,N", [(3, 5), (4, 8), (5, 6), (2, 7)])
+    def test_base_grid_bins_are_the_unpadded_dft(self, gammas, M, N):
+        # every (gamma1, gamma2)-th bin of the over-sampled power is the N x M
+        # DFT's power, which the false-alarm rule reads
+        cfg = SystemConfig(M=M, N=N)
+        nc = NompConfig(gamma1=gammas[0], gamma2=gammas[1])
+        r = make_noise(cfg, np.random.default_rng(M * 10 + N))
+        power = grid_power(cfg, r, nc)
+        assert power.shape == (gammas[0] * N, gammas[1] * M)
+        base = np.abs(np.fft.fft2(r)) ** 2 / cfg.size
+        np.testing.assert_allclose(power[:: gammas[0], :: gammas[1]], base, rtol=1e-12, atol=1e-12 * base.max())
 
 
 class TestLsGainSingle:
@@ -669,8 +682,32 @@ class TestStopping:
     def test_zero_residual_stops_both(self):
         cfg = SystemConfig(M=4, N=8)
         z = np.zeros((cfg.N, cfg.M), dtype=complex)
+        nc = NompConfig(gamma1=2, gamma2=2, stopping=StoppingRule("false_alarm", p_fa=0.01))
         assert stopping_power(cfg, z)
         assert stopping_false_alarm(cfg, z, 0.01)
+        assert nomp._stopping_fires(cfg, z, grid_power(cfg, z, nc), nc)
+
+    @pytest.mark.parametrize("gammas", [(1, 1), (2, 2), (2, 4), (3, 1)])
+    def test_false_alarm_rule_matches_unpadded_fft_rule(self, gammas):
+        # the pursuit's rule reads the over-sampled spectrum's base-grid bins;
+        # it decides as the rule on the N x M FFT does, on residuals whose
+        # peak statistic straddles the threshold
+        cfg = SystemConfig(M=4, N=8)
+        rule = StoppingRule("false_alarm", p_fa=0.01)
+        nc = NompConfig(gamma1=gammas[0], gamma2=gammas[1], stopping=rule)
+        rng = np.random.default_rng(31)
+        decisions = []
+        for scale in np.linspace(0.5, 3.0, 60):
+            r = scale * make_noise(cfg, rng)
+            want = stopping_false_alarm(cfg, r, rule.p_fa)
+            assert nomp._stopping_fires(cfg, r, grid_power(cfg, r, nc), nc) == want
+            decisions.append(want)
+        assert True in decisions and False in decisions
+
+    def test_power_rule_reads_no_spectrum(self):
+        cfg = SystemConfig(M=4, N=8)
+        z = np.zeros((cfg.N, cfg.M), dtype=complex)
+        assert nomp._stopping_fires(cfg, z, None, NompConfig(stopping=StoppingRule("power")))
 
     def test_false_alarm_threshold_value(self):
         cfg = SystemConfig(M=32, N=128)
@@ -705,6 +742,27 @@ class TestNompExtract:
             res = nomp_extract(make_noise(cfg, rng), cfg, nc)
             empty += not res.paths
         assert empty / 200 == pytest.approx(0.95, abs=0.06)
+
+    @pytest.mark.parametrize("max_paths", [2, None])
+    def test_false_alarm_pursuit_transforms_each_residual_once(self, monkeypatch, max_paths):
+        # the stopping rule and the detection share one spectrum per
+        # iteration, and the final stopping check takes one more
+        cfg = SystemConfig(M=8, N=32)
+        paths = [NormalizedPath(2.0, 0.2, 0.3), NormalizedPath(1.5j, 0.6, 0.8), NormalizedPath(1.0, 0.4, 0.1)]
+        y = synthesize_from_normalized(cfg, paths) + make_noise(cfg, np.random.default_rng(4))
+        calls = Counter()
+        fft2 = np.fft.fft2
+
+        def counting_fft2(*args, **kwargs):
+            calls["fft2"] += 1
+            return fft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft2", counting_fft2)
+        nc = NompConfig(gamma1=2, gamma2=2, max_paths=max_paths, stopping=StoppingRule("false_alarm", p_fa=0.01))
+        res = nomp_extract(y, cfg, nc)
+        assert res.iterations >= 2
+        assert res.stop_reason == ("max_paths" if max_paths else "criterion")
+        assert calls["fft2"] == res.iterations + 1
 
     def test_residual_consistency(self):
         cfg = SystemConfig(M=8, N=32)
@@ -822,7 +880,7 @@ class TestBoundedPursuit:
         # it again, so the path count never grows and the stopping rule never
         # fires on the strong residual: only the iteration cap ends the loop
         cfg = SystemConfig(M=4, N=8)
-        monkeypatch.setattr(nomp, "coarse_detect", lambda cfg, r, nc: (0.25, 0.5, 0.0))
+        monkeypatch.setattr(nomp, "coarse_detect", lambda power: (0.25, 0.5, 0.0))
         y = 20.0 * make_noise(cfg, np.random.default_rng(1))
         nc = NompConfig(single_refine_rounds=0, cyclic_refine_rounds=0, max_paths=3)
         with time_limit(10.0):
