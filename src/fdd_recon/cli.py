@@ -225,6 +225,8 @@ def _experiment(config: Dict[str, Any], threads: int) -> Callable[[], Experiment
     if experiment == "false-alarm":
         if "p_fa" not in config:
             raise ConfigError("false-alarm experiment requires 'p_fa'")
+        if "stopping" in config.get("nomp", {}):
+            raise ConfigError("false-alarm experiment takes its stopping rule from 'p_fa', not nomp.stopping")
         p_fa = StoppingRule("false_alarm", config["p_fa"]).p_fa
         return partial(run_false_alarm_experiment, cfg, p_fa, nomp_cfg=nomp_cfg, **common)
     if experiment == "phase-error":

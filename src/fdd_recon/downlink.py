@@ -1,5 +1,5 @@
-# Downlink gain refinement from the pursuit's (mu, nu) estimates: beamformed
-# pilot model, coefficient matrix, LS gain re-estimation, and reconstruction.
+# Downlink gain refinement from the pursuit's paths: beamformed pilot model,
+# coefficient matrix, LS gain re-estimation, and reconstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -51,28 +51,28 @@ class PilotPattern:
 def _pilot_operator(
     cfg: SystemConfig,
     pattern: PilotPattern,
-    paths: Sequence[Tuple[float, float]],
-    beam_nus: Sequence[float],
+    paths: Sequence[NormalizedPath],
+    beams: Sequence[NormalizedPath],
     btype: BeamformingType,
 ) -> np.ndarray:
-    """Pilots received from unit-gain (mu, nu) paths under beams steered at
-    the spatial frequencies beam_nus: the row of pilot i and beam j holds, for
-    path l, exp(j*2*pi*(delta_F/delta_f + n_i)*mu_l) * a^H(nu_l) a(beam_nus[j]).
+    """Pilots received from unit-gain copies of the paths (no gain is read)
+    under beams steered at the beams' nu: the row of pilot i and beam j holds,
+    for path l, exp(j*2*pi*(delta_F/delta_f + n_i)*mu_l) * a^H(nu_l) a(nu_j).
 
     Type 1 stacks one Np-row block per beam (Mp = Np*L); Type 2
     frequency-multiplexes the beams onto the pilot subcarriers, beam i mod L
     on pilot i (Mp = Np).
     """
-    if not beam_nus:
+    if not beams:
         raise EmptyEstimatesError("need at least one estimated direction to beamform")
-    mus, nus = np.array(paths, dtype=float).reshape(-1, 2).T
-    D, A = ramp_matrices(cfg, mus, nus)
+    mus = [p.mu for p in paths]
+    D, A = ramp_matrices(cfg, mus, [p.nu for p in paths])
     phase = D[pattern.rows] * offset_phases(cfg, mus)
-    bf = A.conj().T @ ramp_matrices(cfg, (), beam_nus)[1]  # bf[l, j]
+    bf = A.conj().T @ ramp_matrices(cfg, (), [b.nu for b in beams])[1]  # bf[l, j]
     if btype == "type1":
-        return np.vstack([phase * bf[:, j] for j in range(len(beam_nus))])
+        return np.vstack([phase * bf[:, j] for j in range(len(beams))])
     if btype == "type2":
-        beam = np.arange(pattern.count) % len(beam_nus)
+        beam = np.arange(pattern.count) % len(beams)
         return phase * bf[:, beam].T
     raise ValueError(f"unknown beamforming type {btype!r}")
 
@@ -80,30 +80,28 @@ def _pilot_operator(
 def build_coefficient_matrix(
     cfg: SystemConfig,
     pattern: PilotPattern,
-    estimates: Sequence[Tuple[float, float]],
+    estimates: Sequence[NormalizedPath],
     btype: BeamformingType,
 ) -> np.ndarray:
     """Pilot coefficient matrix mapping per-path gains to received pilots: the
-    estimated paths beamed at their own spatial frequencies.  estimates are
-    the pursuit's (mu, nu) pairs."""
-    return _pilot_operator(cfg, pattern, estimates, [e[1] for e in estimates], btype)
+    pursuit's paths beamed at their own spatial frequencies, gains unread."""
+    return _pilot_operator(cfg, pattern, estimates, estimates, btype)
 
 
 def simulate_downlink_pilots(
     cfg: SystemConfig,
-    true_paths: Sequence[NormalizedPath],
-    estimates: Sequence[Tuple[float, float]],
-    btype: BeamformingType,
     pattern: PilotPattern,
+    true_paths: Sequence[NormalizedPath],
+    estimates: Sequence[NormalizedPath],
+    btype: BeamformingType,
     noise_variance: float,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Received downlink pilots: true paths beamed toward the estimated
-    (mu, nu) pairs' spatial frequencies, plus circular complex Gaussian noise
-    drawn from rng (required when noise_variance > 0)."""
+    """Received downlink pilots: the true paths, with their gains, beamed at
+    the estimated paths' spatial frequencies, plus circular complex Gaussian
+    noise drawn from rng (required when noise_variance > 0)."""
     gains = np.array([p.gain for p in true_paths], dtype=complex)
-    truth = [(p.mu, p.nu) for p in true_paths]
-    y = _pilot_operator(cfg, pattern, truth, [e[1] for e in estimates], btype) @ gains
+    y = _pilot_operator(cfg, pattern, true_paths, estimates, btype) @ gains
     return add_noise(y, noise_variance, rng)
 
 
@@ -123,10 +121,10 @@ def refine_gains(A: np.ndarray, y_dl: np.ndarray) -> np.ndarray:
 def reconstruct_downlink(
     cfg: SystemConfig,
     refined_gains: Sequence[complex],
-    estimates: Sequence[Tuple[float, float]],
+    estimates: Sequence[NormalizedPath],
 ) -> np.ndarray:
     """N x M downlink channel sum_l g_l exp(j*2*pi*delta_F*mu_l/delta_f) u(mu_l, nu_l)
-    from per-path gains and the uplink-derived (mu, nu) pairs."""
+    of the estimated paths with the refined gains g_l in place of theirs."""
     if len(refined_gains) != len(estimates):
         raise ValueError("gain/estimate length mismatch")
-    return synthesize_downlink(cfg, [NormalizedPath(g, mu, nu) for g, (mu, nu) in zip(refined_gains, estimates)])
+    return synthesize_downlink(cfg, [NormalizedPath(g, p.mu, p.nu) for g, p in zip(refined_gains, estimates)])

@@ -492,32 +492,37 @@ def run_phase_error_experiment(
 ) -> ExperimentReport:
     """Randomized single-path trials: downlink MSE of gain-refined
     reconstruction versus direct out-of-band inference under an injected delay
-    error with delta_F * delta_tau in the given range, which needs a nonzero
-    delta_F."""
+    error delta_tau with |delta_F * delta_tau| in the given range, which needs
+    a nonzero delta_F.  The error's sign is drawn, and flipped where the drawn
+    one would take the delay out of [0, 1/delta_f); so the range's largest
+    |delta_f * delta_tau| must stay below 1/2."""
     if cfg.delta_F == 0:
         raise ValueError("the phase-error experiment needs a nonzero delta_F")
+    lo, hi = offset_delay_product_range
+    if not cfg.delta_f * np.max(np.abs(offset_delay_product_range)) < abs(cfg.delta_F) / 2:  # NaN fails too
+        raise ValueError(f"offset_delay_product_range {offset_delay_product_range} reaches |delta_f*delta_tau| >= 1/2")
     t0 = time.perf_counter()
     pattern = PilotPattern.from_config(cfg)
 
     def trial(snr: float, rng: np.random.Generator) -> Dict[str, float]:
         path = generate_scenario(cfg, SparseTwoPath(), rng, total_power=snr)[0]
-        lo, hi = offset_delay_product_range
-        delta_tau = rng.uniform(lo, hi) / cfg.delta_F * rng.choice([-1.0, 1.0])
-        # mu of the erroneous delay, which stays in [0, 1/delta_f)
-        mu_hat = float(np.clip(path.mu + cfg.delta_f * delta_tau, 0.0, 1.0 - 1e-12))
-        estimates = [(mu_hat, path.nu)]
+        delta_mu = cfg.delta_f * (rng.uniform(lo, hi) / cfg.delta_F * rng.choice([-1.0, 1.0]))
+        # mu of the erroneous delay, kept in [0, 1) by the sign of its error
+        mu_hat = path.mu + delta_mu
+        if not 0.0 <= mu_hat < 1.0:
+            mu_hat = path.mu - delta_mu
 
         h_ul = synthesize_uplink(cfg, [path])
         h_dl = synthesize_downlink(cfg, [path])
 
         # direct inference: uplink LS gain at the erroneous delay, reused downlink
-        h_direct = reconstruct_downlink(cfg, [ls_gain_single(cfg, h_ul, *estimates[0])], estimates)
+        estimate = NormalizedPath(ls_gain_single(cfg, h_ul, mu_hat, path.nu), mu_hat, path.nu)
+        h_direct = synthesize_downlink(cfg, [estimate])
 
         # refined: downlink beamformed pilots, LS gain re-fit
-        y_dl = simulate_downlink_pilots(cfg, [path], estimates, "type1", pattern, 1.0, rng)
-        A = build_coefficient_matrix(cfg, pattern, estimates, "type1")
-        g_dl = refine_gains(A, y_dl)
-        h_refined = reconstruct_downlink(cfg, g_dl, estimates)
+        y_dl = simulate_downlink_pilots(cfg, pattern, [path], [estimate], "type1", 1.0, rng)
+        A = build_coefficient_matrix(cfg, pattern, [estimate], "type1")
+        h_refined = reconstruct_downlink(cfg, refine_gains(A, y_dl), [estimate])
 
         return {
             "direct_inference": mse_linear(h_direct, h_dl),
@@ -615,21 +620,19 @@ def run_reconstruction_experiment(
         h_ul = synthesize_uplink(cfg, paths)
         h_dl = synthesize_downlink(cfg, paths)
         detected = nomp_extract(add_noise(h_ul, 1.0, rng), cfg, nomp_cfg).paths
-        estimates = [(p.mu, p.nu) for p in detected]
-        h_direct = reconstruct_downlink(cfg, [p.gain for p in detected], estimates)
 
         out: Dict[str, float] = {
             "uplink_recon": mse_linear(synthesize_from_normalized(cfg, detected), h_ul),
-            "direct_inference": mse_linear(h_direct, h_dl),
-            # without estimates, or when flagged, the reconstruction is zero
+            "direct_inference": mse_linear(synthesize_downlink(cfg, detected), h_dl),  # uplink gains
+            # without detections, or when flagged, the reconstruction is zero
             "downlink_recon": mse_linear(np.zeros_like(h_dl), h_dl),
             "flagged": 0,
         }
-        if estimates:
+        if detected:
             try:
-                y_dl = simulate_downlink_pilots(cfg, paths, estimates, btype, refine_pattern, 1.0, rng)
-                A = build_coefficient_matrix(cfg, refine_pattern, estimates, btype)
-                h_rec = reconstruct_downlink(cfg, refine_gains(A, y_dl), estimates)
+                y_dl = simulate_downlink_pilots(cfg, refine_pattern, paths, detected, btype, 1.0, rng)
+                A = build_coefficient_matrix(cfg, refine_pattern, detected, btype)
+                h_rec = reconstruct_downlink(cfg, refine_gains(A, y_dl), detected)
                 out["downlink_recon"] = mse_linear(h_rec, h_dl)
             except RankDeficientError:
                 out["flagged"] = 1

@@ -269,8 +269,17 @@ class TestRun:
         assert "p_fa must be a number in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("stopping", [{"variant": "false_alarm", "p_fa": 0.5}, {"variant": "power"}])
+    def test_false_alarm_stopping_rule_comes_from_p_fa_only(self, tmp_path, capsys, stopping):
+        # the rule is the false-alarm rule at the top-level p_fa, so a nomp.stopping rule would go unused
+        out = tmp_path / "o"
+        config = dict(FALSE_ALARM_CONFIG, nomp={"stopping": stopping}, p_fa=0.01)
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_CONFIG
+        assert "stopping rule from 'p_fa'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
-        "value", [[], ["x"], [float("nan")], [float("inf")], [10.0, True], 10, "10", None, {"a": 1}, [10**400]]
+        "value", [[],["x"], [float("nan")], [float("inf")], [10.0, True], 10, "10", None, {"a": 1}, [10**400]]
     )
     def test_bad_snr_db_exit2(self, tmp_path, capsys, value):
         out = tmp_path / "o"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,13 +26,16 @@ def make_cfg(**kw):
 
 
 def mu_nu(cfg, estimates):
-    """The (mu, nu) pairs of physical (delay, angle) estimates."""
-    return [((cfg.delta_f * tau) % 1.0, (cfg.d_over_lambda * np.sin(theta)) % 1.0) for tau, theta in estimates]
+    """The unit-gain normalized paths of physical (delay, angle) estimates."""
+    return [
+        NormalizedPath(1.0, (cfg.delta_f * tau) % 1.0, (cfg.d_over_lambda * np.sin(theta)) % 1.0)
+        for tau, theta in estimates
+    ]
 
 
 def physical(cfg, gain, delay, angle):
     """The normalized path of a physical (gain, delay, angle) path."""
-    return NormalizedPath(gain, *mu_nu(cfg, [(delay, angle)])[0])
+    return replace(mu_nu(cfg, [(delay, angle)])[0], gain=gain)
 
 
 class TestPilotPattern:
@@ -104,9 +109,9 @@ class TestSimulatePilots:
         cfg = make_cfg()
         pat = PilotPattern.from_config(cfg)
         paths = [physical(cfg, 1.0 + 0.5j, 2e-6, 0.3), physical(cfg, -0.7j, 5e-6, -0.4)]
-        ests = [(p.mu, p.nu) for p in paths]
+        ests = paths
         for btype in ("type1", "type2"):
-            y = simulate_downlink_pilots(cfg, paths, ests, btype, pat, 0.0)
+            y = simulate_downlink_pilots(cfg, pat, paths, ests, btype, 0.0)
             A = build_coefficient_matrix(cfg, pat, ests, btype)
             np.testing.assert_allclose(y, A @ np.array([p.gain for p in paths]), rtol=1e-10)
 
@@ -114,7 +119,7 @@ class TestSimulatePilots:
         cfg = make_cfg()
         pat = PilotPattern.from_config(cfg)
         rng = np.random.default_rng(0)
-        y = simulate_downlink_pilots(cfg, [], mu_nu(cfg, [(1e-6, 0.2)]), "type2", pat, 1.0, rng)
+        y = simulate_downlink_pilots(cfg, pat, [], mu_nu(cfg, [(1e-6, 0.2)]), "type2", 1.0, rng)
         assert y.shape == (pat.count,)
         assert np.linalg.norm(y) > 0
 
@@ -123,8 +128,8 @@ class TestSimulatePilots:
         pat = PilotPattern.from_config(cfg)
         paths = [physical(cfg, 1.0, 2e-6, 0.3)]
         ests = mu_nu(cfg, [(2.1e-6, 0.28)])
-        y1 = simulate_downlink_pilots(cfg, paths, ests, "type1", pat, 0.0)
-        y2 = simulate_downlink_pilots(cfg, paths, ests, "type2", pat, 0.0)
+        y1 = simulate_downlink_pilots(cfg, pat, paths, ests, "type1", 0.0)
+        y2 = simulate_downlink_pilots(cfg, pat, paths, ests, "type2", 0.0)
         np.testing.assert_allclose(y1, y2, rtol=1e-12)
 
     def test_noise_bit_identical_for_fixed_generator(self):
@@ -135,19 +140,19 @@ class TestSimulatePilots:
         paths = [physical(cfg, 1.0 + 0.5j, 2e-6, 0.3), physical(cfg, -0.7j, 5e-6, -0.4)]
         ests = mu_nu(cfg, [(2.1e-6, 0.28), (4.9e-6, -0.41)])
         for btype in ("type1", "type2"):
-            clean = simulate_downlink_pilots(cfg, paths, ests, btype, pat, 0.0)
+            clean = simulate_downlink_pilots(cfg, pat, paths, ests, btype, 0.0)
             ref = np.random.default_rng(11)
             expected = clean + np.sqrt(0.7 / 2.0) * (
                 ref.standard_normal(clean.shape) + 1j * ref.standard_normal(clean.shape)
             )
-            y = simulate_downlink_pilots(cfg, paths, ests, btype, pat, 0.7, np.random.default_rng(11))
+            y = simulate_downlink_pilots(cfg, pat, paths, ests, btype, 0.7, np.random.default_rng(11))
             np.testing.assert_array_equal(y, expected)
 
     def test_noise_requires_generator(self):
         cfg = make_cfg()
         pat = PilotPattern.from_config(cfg)
         with pytest.raises(ValueError, match="generator"):
-            simulate_downlink_pilots(cfg, [], mu_nu(cfg, [(1e-6, 0.2)]), "type1", pat, 1.0)
+            simulate_downlink_pilots(cfg, pat, [], mu_nu(cfg, [(1e-6, 0.2)]), "type1", 1.0)
 
 
 def triple_loop_pilots(cfg, pattern, true_paths, estimates, btype):
@@ -188,7 +193,7 @@ class TestPilotOperatorReference:
         # estimates that differ from the truth in number, delay and angle
         estimates = [(float(rng.uniform(0, 1 / cfg.delta_f)), float(rng.uniform(-1.4, 1.4))) for _ in range(2)]
         truth = [physical(cfg, *p) for p in true_paths]
-        y = simulate_downlink_pilots(cfg, truth, mu_nu(cfg, estimates), btype, pat, 0.0)
+        y = simulate_downlink_pilots(cfg, pat, truth, mu_nu(cfg, estimates), btype, 0.0)
         ref = triple_loop_pilots(cfg, pat, true_paths, estimates, btype)
         assert y.shape == ref.shape == ((2 if btype == "type1" else 1) * pat.count,)
         np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-10 * cfg.M)
@@ -213,7 +218,7 @@ class TestPilotOperatorReference:
             (float(rng.uniform(0, 1 / cfg.delta_f)), float(rng.uniform(-np.pi / 2, np.pi / 2))) for _ in range(2)
         ]
         truth = [physical(cfg, *p) for p in true_paths]
-        y = simulate_downlink_pilots(cfg, truth, mu_nu(cfg, estimates), btype, pat, 0.0)
+        y = simulate_downlink_pilots(cfg, pat, truth, mu_nu(cfg, estimates), btype, 0.0)
         ref = triple_loop_pilots(cfg, pat, true_paths, estimates, btype)
         np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-10 * cfg.M)
 
@@ -261,8 +266,8 @@ class TestReconstruction:
         cfg = make_cfg()
         pat = PilotPattern.from_config(cfg)
         paths = [physical(cfg, 1.0 + 0.5j, 2e-6, 0.3), physical(cfg, -0.7j, 5e-6, -0.4)]
-        ests = [(p.mu, p.nu) for p in paths]
-        y = simulate_downlink_pilots(cfg, paths, ests, "type1", pat, 0.0)
+        ests = mu_nu(cfg, [(2e-6, 0.3), (5e-6, -0.4)])
+        y = simulate_downlink_pilots(cfg, pat, paths, ests, "type1", 0.0)
         A = build_coefficient_matrix(cfg, pat, ests, "type1")
         gains = refine_gains(A, y)
         h = reconstruct_downlink(cfg, gains, ests)
@@ -272,19 +277,35 @@ class TestReconstruction:
     def test_equals_synthesize_downlink_bit_for_bit(self):
         cfg = make_cfg()
         rng = np.random.default_rng(3)
-        ests = [(float(rng.uniform()), float(rng.uniform())) for _ in range(4)]
+        ests = [NormalizedPath(1.0, float(rng.uniform()), float(rng.uniform())) for _ in range(4)]
         gains = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        paths = [NormalizedPath(g, mu, nu) for g, (mu, nu) in zip(gains, ests)]
+        paths = [replace(p, gain=g) for g, p in zip(gains, ests)]
         np.testing.assert_array_equal(reconstruct_downlink(cfg, gains, ests), synthesize_downlink(cfg, paths))
+
+    def test_estimate_gains_are_not_read_and_refined_gains_replace_them(self):
+        # the pursuit's paths arrive with their uplink gains
+        cfg = make_cfg()
+        pat = PilotPattern.from_config(cfg)
+        unit = mu_nu(cfg, [(1e-6, 0.1), (4e-6, -0.7)])
+        ests = [replace(p, gain=g) for p, g in zip(unit, (3.0 - 2.0j, 0.25j))]
+        for btype in ("type1", "type2"):
+            np.testing.assert_array_equal(
+                build_coefficient_matrix(cfg, pat, ests, btype), build_coefficient_matrix(cfg, pat, unit, btype)
+            )
+        refined = np.array([1.5 - 1.0j, 0.3 + 0.2j])
+        np.testing.assert_array_equal(
+            reconstruct_downlink(cfg, refined, ests),
+            synthesize_downlink(cfg, [replace(p, gain=g) for p, g in zip(unit, refined)]),
+        )
 
     def test_spatial_frequency_beyond_spacing_kept(self):
         # at d/lambda = 0.25, nu = 0.4 has no angle; the estimate is used as it is
         cfg = make_cfg(d_over_lambda=0.25)
-        ests = [(0.15, 0.4), (0.7, 0.1)]
+        ests = [NormalizedPath(1.0, 0.15, 0.4), NormalizedPath(1.0, 0.7, 0.1)]
         gains = [1.0 - 0.5j, 0.3j]
         expected = sum(
-            g * np.exp(2j * np.pi * cfg.delta_F * mu / cfg.delta_f) * atom(cfg, mu, nu)
-            for g, (mu, nu) in zip(gains, ests)
+            g * np.exp(2j * np.pi * cfg.delta_F * p.mu / cfg.delta_f) * atom(cfg, p.mu, p.nu)
+            for g, p in zip(gains, ests)
         )
         np.testing.assert_allclose(reconstruct_downlink(cfg, gains, ests), expected, rtol=1e-10, atol=1e-10)
 
@@ -311,7 +332,7 @@ class TestReconstruction:
             ests = mu_nu(cfg, [(delay + delta_tau, angle)])
             # direct inference keeps the uplink gain
             direct = reconstruct_downlink(cfg, [path.gain], ests)
-            y = simulate_downlink_pilots(cfg, [path], ests, "type1", pat, 0.0)
+            y = simulate_downlink_pilots(cfg, pat, [path], ests, "type1", 0.0)
             A = build_coefficient_matrix(cfg, pat, ests, "type1")
             refined = reconstruct_downlink(cfg, refine_gains(A, y), ests)
             assert np.linalg.norm(refined - h_true) < np.linalg.norm(direct - h_true)

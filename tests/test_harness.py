@@ -451,6 +451,23 @@ class TestExperiments:
         with pytest.raises(ValueError, match="nonzero delta_F"):
             run_phase_error_experiment(SystemConfig(M=2, N=8), trials=2)
 
+    def test_phase_error_injects_the_whole_delay_error(self):
+        # |delta_f * delta_tau| = 0.3 / 0.999, a third of a delay cell, so
+        # trials whose path lies near either end of [0, 1) err like the rest
+        cfg = SystemConfig(M=2, N=32, delta_F=0.999 * 75e3)
+        rep = run_phase_error_experiment(cfg, trials=20, seed=0, offset_delay_product_range=(0.3, 0.3))
+        direct = rep.per_trial_db["direct_inference"][0]
+        assert len(direct) == 20
+        np.testing.assert_allclose(direct, direct[0], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("product_range", [(0.1, 0.5), (-0.6, 0.1), (0.5, 0.5), (0.1, float("nan"))])
+    def test_phase_error_range_of_half_a_delay_cell_rejected(self, monkeypatch, product_range):
+        # |delta_f * delta_tau| >= 1/2 could leave [0, 1) at either sign
+        monkeypatch.setattr(harness, "_sweep", lambda *args: pytest.fail("a trial ran"))
+        cfg = SystemConfig(M=2, N=8, delta_f=75e3, delta_F=75e3)
+        with pytest.raises(ValueError, match="offset_delay_product_range"):
+            run_phase_error_experiment(cfg, trials=2, offset_delay_product_range=product_range)
+
     def test_reconstruction_experiment_shape_and_determinism(self):
         cfg = SystemConfig(M=4, N=32, delta_F=300e6, K=4)
         kw = dict(
