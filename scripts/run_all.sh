@@ -3,16 +3,17 @@
 # Usage: scripts/run_all.sh [OUT_DIR] [WORKERS]
 # WORKERS is the number of trial workers (default: FDD_RECON_THREADS, else
 # nproc).  Reports are bit-identical at any worker count; only the run time
-# changes.
+# changes.  The CLI runs from this checkout's src/, installed or not.
 set -euo pipefail
 
 here="$(cd "$(dirname "$0")" && pwd)"
 out="${1:-results}"
 threads="${2:-${FDD_RECON_THREADS:-$(nproc)}}"
+export PYTHONPATH="$here/../src${PYTHONPATH:+:$PYTHONPATH}"
 
 for cfg in "$here"/configs/*.json; do
     name="$(basename "$cfg" .json)"
     echo "== $name"
-    fdd-recon run "$cfg" --out "$out/$name" --threads "$threads"
-    fdd-recon verify "$out/$name/report.json"
+    python3 -m fdd_recon.cli run "$cfg" --out "$out/$name" --threads "$threads"
+    python3 -m fdd_recon.cli verify "$out/$name/report.json"
 done

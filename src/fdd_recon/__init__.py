@@ -29,6 +29,7 @@ from .harness import (
     ExperimentReport,
     InfeasibleSeparationError,
     SparseTwoPath,
+    TrialError,
     TrialWorkerError,
     cdf_points,
     generate_scenario,
@@ -70,6 +71,7 @@ __all__ = [
     "EqualPowerGrid",
     "Custom",
     "InfeasibleSeparationError",
+    "TrialError",
     "TrialWorkerError",
     "ExperimentReport",
     "generate_scenario",

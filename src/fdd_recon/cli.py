@@ -17,14 +17,12 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import asdict, fields
-from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 import numpy as np
 
 from .config import SystemConfig, check_integer, finite_real
-from .downlink import PilotPattern
 from .harness import (
     Cluster,
     EqualPowerGrid,
@@ -44,7 +42,7 @@ EXIT_RUNTIME = 3
 # The top-level keys each experiment reads, besides "experiment" and "output".
 EXPERIMENT_KEYS = {
     "crb": {"system", "scenario", "nomp", "snr_db", "trials", "seed"},
-    "reconstruction": {"system", "scenario", "nomp", "snr_db", "trials", "seed", "beamforming", "K"},
+    "reconstruction": {"system", "scenario", "nomp", "snr_db", "trials", "seed", "beamforming"},
     "false-alarm": {"system", "nomp", "p_fa", "trials", "seed"},
     "phase-error": {"system", "trials", "seed"},
 }
@@ -153,18 +151,12 @@ def _csv(lines: List[List[str]], chash: str) -> str:
 
 
 def _curves_csv(report: ExperimentReport, chash: str) -> str:
-    if report.experiment == "crb":
-        lines = [["snr_db", "eps_mu_db", "eps_nu_db", "bound_mu_db", "bound_nu_db"]]
+    """With bounds: a row per sweep point of every curve, then every bound; else a row per (snr, estimator)."""
+    if report.bounds:
+        columns = {**report.curves, **report.bounds}
+        lines = [["snr_db", *columns]]
         for i, snr in enumerate(report.snr_db):
-            lines.append(
-                [
-                    _fmt(snr),
-                    _fmt(report.curves["eps_mu_db"][i]),
-                    _fmt(report.curves["eps_nu_db"][i]),
-                    _fmt(report.bounds["bound_mu_db"][i]),
-                    _fmt(report.bounds["bound_nu_db"][i]),
-                ]
-            )
+            lines.append([_fmt(snr)] + [_fmt(vals[i]) for vals in columns.values()])
     else:
         lines = [["snr_db", "estimator", "mse_db"]]
         for name, vals in sorted(report.curves.items()):
@@ -196,10 +188,10 @@ def _write_outputs(report: ExperimentReport, config: Dict[str, Any], out_dir: Pa
             _atomic_write(out_dir / f"cdf_{name}_snr{tag}.csv", _csv(lines, chash))
 
 
-def _experiment(config: Dict[str, Any], threads: int) -> Callable[[], ExperimentReport]:
-    """The config's experiment, ready to run: every typed object it needs is
-    built, and so checked, before any trial runs.  The run_* functions are
-    looked up when this is called, so wrappers set on this module apply."""
+def _experiment(config: Dict[str, Any], threads: int) -> ExperimentReport:
+    """Run the config's experiment.  This checks the JSON shape; the types it
+    builds and the run_* function check the values, before any trial.  run_*
+    is looked up when this is called, so wrappers set on this module apply."""
     experiment = config.get("experiment")
     if not isinstance(experiment, str) or experiment not in EXPERIMENT_KEYS:
         raise ConfigError(f"experiment must be one of {sorted(EXPERIMENT_KEYS)}, got {experiment!r}")
@@ -219,37 +211,27 @@ def _experiment(config: Dict[str, Any], threads: int) -> Callable[[], Experiment
 
     if experiment == "crb":
         scenario = _scenario(config["scenario"]) if "scenario" in config else None
-        if scenario is not None and not isinstance(scenario, EqualPowerGrid):
-            raise ConfigError("crb experiment requires an equal_power_grid scenario")
-        return partial(run_crb_experiment, cfg, snr_db, nomp_cfg=nomp_cfg, scenario=scenario, **common)
+        return run_crb_experiment(cfg, snr_db, nomp_cfg=nomp_cfg, scenario=scenario, **common)
     if experiment == "false-alarm":
         if "p_fa" not in config:
             raise ConfigError("false-alarm experiment requires 'p_fa'")
         if "stopping" in config.get("nomp", {}):
             raise ConfigError("false-alarm experiment takes its stopping rule from 'p_fa', not nomp.stopping")
-        p_fa = StoppingRule("false_alarm", config["p_fa"]).p_fa
-        return partial(run_false_alarm_experiment, cfg, p_fa, nomp_cfg=nomp_cfg, **common)
+        return run_false_alarm_experiment(cfg, config["p_fa"], nomp_cfg=nomp_cfg, **common)
     if experiment == "phase-error":
-        if cfg.delta_F == 0:
-            raise ConfigError("phase-error experiment requires a nonzero system.delta_F")
-        PilotPattern(K=cfg.K, N=cfg.N)  # checks the pilot stride against N
-        return partial(run_phase_error_experiment, cfg, **common)
+        return run_phase_error_experiment(cfg, **common)
     if "scenario" not in config:
         raise ConfigError("reconstruction experiment requires 'scenario'")
-    scenario = _scenario(config["scenario"])
     btype = config.get("beamforming", "type1")
-    if btype not in ("type1", "type2"):
-        raise ConfigError(f"beamforming must be 'type1' or 'type2', got {btype!r}")
-    pattern = PilotPattern(K=config.get("K", cfg.K), N=cfg.N)
-    return partial(run_reconstruction_experiment, cfg, scenario, btype, pattern.K, snr_db, nomp_cfg=nomp_cfg, **common)
+    return run_reconstruction_experiment(cfg, _scenario(config["scenario"]), btype, snr_db, nomp_cfg=nomp_cfg, **common)
 
 
 def run_from_config(config: Dict[str, Any], out_dir: Path, threads: int) -> ExperimentReport:
+    """Run config and write its outputs; a TypeError or ValueError, never a trial's, is a config error."""
     try:
-        run = _experiment(config, threads)
+        report = _experiment(config, threads)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
-    report = run()
     _write_outputs(report, config, out_dir)
     return report
 

@@ -48,6 +48,10 @@ class TrialWorkerError(RuntimeError):
     """A forked trial worker ended without sending back its results."""
 
 
+class TrialError(RuntimeError):
+    """A trial raised: the message names its sweep point, trial, seed and error."""
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 
@@ -123,6 +127,24 @@ def _spaced(rng: np.random.Generator, count: int, sep: float) -> np.ndarray:
     return rng.permutation((x + rng.uniform()) % 1.0)
 
 
+def _separations(cfg: SystemConfig, spec: EqualPowerGrid) -> Tuple[float, float]:
+    mu, nu = spec.min_sep_mu, spec.min_sep_nu
+    return (1.0 / cfg.N if mu is None else mu), (1.0 / cfg.M if nu is None else nu)
+
+
+def check_scenario(cfg: SystemConfig, spec: ScenarioSpec) -> None:
+    """Raise ValueError unless spec's paths fit the system cfg: a cluster's
+    delay spread in one symbol, an equal-power grid's separations."""
+    if isinstance(spec, Cluster) and spec.delay_spread_cells > cfg.N:
+        raise ValueError(f"delay_spread_cells {spec.delay_spread_cells} exceeds the N = {cfg.N} delay cells")
+    if isinstance(spec, EqualPowerGrid):
+        sep_mu, sep_nu = _separations(cfg, spec)
+        if spec.count * sep_mu >= 1.0 or spec.count * sep_nu >= 2 * cfg.d_over_lambda:
+            raise InfeasibleSeparationError(
+                f"{spec.count} paths cannot keep separations ({sep_mu}, {sep_nu}) on the visible torus"
+            )
+
+
 def generate_scenario(
     cfg: SystemConfig,
     spec: ScenarioSpec,
@@ -138,6 +160,7 @@ def generate_scenario(
     """
     if isinstance(spec, Custom):
         return list(spec.paths)
+    check_scenario(cfg, spec)
 
     d = cfg.d_over_lambda
     if isinstance(spec, SparseTwoPath):
@@ -145,10 +168,6 @@ def generate_scenario(
         mus = rng.uniform(0.0, spec.delay_spread_fraction, size=count)
         nus = d * np.sin(rng.uniform(-np.pi / 2, np.pi / 2, size=count))
     elif isinstance(spec, Cluster):
-        if spec.delay_spread_cells > cfg.N:
-            raise ValueError(
-                f"delay_spread_cells {spec.delay_spread_cells} exceeds the N = {cfg.N} delay cells of a symbol"
-            )
         count = spec.paths
         half = np.deg2rad(spec.angular_spread_deg) / 2.0
         center = rng.uniform(-np.pi / 2 + half, np.pi / 2 - half)
@@ -157,12 +176,7 @@ def generate_scenario(
         mus = rng.uniform(0.0, 1.0 - spread) + rng.uniform(0.0, spread, size=count)
     elif isinstance(spec, EqualPowerGrid):
         count = spec.count
-        sep_mu = 1.0 / cfg.N if spec.min_sep_mu is None else spec.min_sep_mu
-        sep_nu = 1.0 / cfg.M if spec.min_sep_nu is None else spec.min_sep_nu
-        if count * sep_mu >= 1.0 or count * sep_nu >= 2 * d:
-            raise InfeasibleSeparationError(
-                f"{count} paths cannot keep separations ({sep_mu}, {sep_nu}) on the visible torus"
-            )
+        sep_mu, sep_nu = _separations(cfg, spec)
         mus = _spaced(rng, count, sep_mu)
         # nu on the visible arc [-d, d] with its ends joined, scaled to the unit circle
         nus = 2 * d * _spaced(rng, count, sep_nu / (2 * d)) - d
@@ -220,10 +234,6 @@ class ExperimentReport:
         return cdf_points(self.per_trial_db[curve][snr_index])
 
 
-def _trial_rng(seed: int, sweep_index: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, sweep_index, trial)))
-
-
 def _trial_worker(
     fn: Callable[[int], object], w: int, trials: int, workers: int, out: int, inherited: List[int], cpu
 ) -> NoReturn:
@@ -254,8 +264,7 @@ def _trial_worker(
 
 def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
     """[fn(t) for t in range(trials)] on workers = min(threads, trials) trial
-    workers, job t on worker t % workers.  _sweep makes one call per run with
-    a job per (point, trial), so the workers fork once per run.
+    workers, job t on worker t % workers; _sweep calls it once per run.
 
     Worker 0 is this process.  Workers 1.. are forked here, so they inherit fn
     and the sweep points it closes over (neither pickles), and send back only
@@ -326,16 +335,24 @@ def _sweep(
     """results[s][t] = trial(point_s, rng) with rng from SeedSequence((seed, s, t)).
 
     Every point is built first; then one trial map runs every (point, trial)
-    as job i = s * trials + t, so the workers fork once per run.
+    as job i = s * trials + t, so the workers fork once per run.  A trial's
+    exception comes back as a TrialError naming it: a cause would not survive
+    the pipe from a forked worker.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if threads < 1:
         raise ValueError(f"threads (trial workers) must be >= 1, got {threads}")
     points = list(points)
-    results = _map_trials(
-        lambda i: trial(points[i // trials], _trial_rng(seed, *divmod(i, trials))), len(points) * trials, threads
-    )
+
+    def job(i: int):
+        s, t = divmod(i, trials)
+        try:
+            return trial(points[s], np.random.default_rng(np.random.SeedSequence((seed, s, t))))
+        except Exception as err:
+            raise TrialError(f"sweep point {s}, trial {t}, seed {seed}: {type(err).__name__}: {err}") from err
+
+    results = _map_trials(job, len(points) * trials, threads)
     return [results[i : i + trials] for i in range(0, len(results), trials)]
 
 
@@ -395,6 +412,9 @@ def run_crb_experiment(
     t0 = time.perf_counter()
     nomp_cfg = nomp_cfg or NompConfig(gamma1=2, gamma2=2, stopping=StoppingRule("power"))
     scenario = scenario or EqualPowerGrid()
+    if not isinstance(scenario, EqualPowerGrid):
+        raise ValueError("crb experiment requires an equal_power_grid scenario")
+    check_scenario(cfg, scenario)
     radius_mu = 0.5 / (nomp_cfg.gamma1 * cfg.N)
     radius_nu = 0.5 / (nomp_cfg.gamma2 * cfg.M)
 
@@ -465,7 +485,6 @@ def run_false_alarm_experiment(
         return 1 if nomp_extract(noise, cfg, nomp_cfg).paths else 0
 
     fakes = sum(_sweep([None], trials, seed, threads, trial)[0])
-    rate = fakes / trials
     return ExperimentReport(
         experiment="false-alarm",
         seed=seed,
@@ -473,7 +492,7 @@ def run_false_alarm_experiment(
         snr_db=[],
         curves={},
         per_trial_db={},
-        extras={"p_fa": p_fa, "empirical_rate": rate, "fake_detections": fakes},
+        extras={"p_fa": p_fa, "empirical_rate": fakes / trials, "fake_detections": fakes},
         wall_clock_s=time.perf_counter() - t0,
     )
 
@@ -596,23 +615,23 @@ def run_reconstruction_experiment(
     cfg: SystemConfig,
     scenario: ScenarioSpec,
     btype: str,
-    K: int,
     snr_list_db: Sequence[float],
     trials: int,
     seed: int = 0,
     nomp_cfg: NompConfig | None = None,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Per trial: uplink sounding + pursuit, downlink gain refinement and
-    reconstruction, direct out-of-band inference, and the LS / genie-LMMSE
-    downlink baselines (pilot stride 4), all scored against the true channels."""
+    """Per trial: uplink sounding + pursuit, downlink gain refinement (pilot
+    stride cfg.K) and reconstruction, direct out-of-band inference, and the LS /
+    genie-LMMSE downlink baselines (pilot stride 4), scored on the true channels."""
     t0 = time.perf_counter()
     nomp_cfg = nomp_cfg or NompConfig()
-    refine_pattern = PilotPattern.from_config(cfg, K)
+    if btype not in ("type1", "type2"):
+        raise ValueError(f"beamforming must be 'type1' or 'type2', got {btype!r}")
+    refine_pattern = PilotPattern.from_config(cfg)
     baseline_pattern = PilotPattern.from_config(cfg, 4)
+    check_scenario(cfg, scenario)
     base_cov = genie_covariance(cfg, scenario)
-
-    names = ["ls", "lmmse", "uplink_recon", "downlink_recon", "direct_inference"]
 
     def trial(point: Tuple[float, np.ndarray], rng: np.random.Generator) -> Dict[str, float]:
         snr, W = point
@@ -646,7 +665,7 @@ def run_reconstruction_experiment(
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in snr_list_db]
     points = [(snr, lmmse_filter(baseline_pattern, cfg, base_cov, noise_variance=1.0 / snr)) for snr in snrs]
     sweep = _sweep(points, trials, seed, threads, trial)
-    curves, per_trial = _db_curves(names, sweep)
+    curves, per_trial = _db_curves(["ls", "lmmse", "uplink_recon", "downlink_recon", "direct_inference"], sweep)
     flagged_per_snr = [sum(r["flagged"] for r in point) for point in sweep]
     return ExperimentReport(
         experiment="reconstruction",
@@ -655,6 +674,6 @@ def run_reconstruction_experiment(
         snr_db=list(snr_list_db),
         curves=curves,
         per_trial_db=per_trial,
-        extras={"flagged_trials": flagged_per_snr, "beamforming": btype, "K": K},
+        extras={"flagged_trials": flagged_per_snr, "beamforming": btype, "K": cfg.K},
         wall_clock_s=time.perf_counter() - t0,
     )

@@ -70,7 +70,6 @@ class NompConfig:
 @dataclass
 class NompResult:
     paths: List[NormalizedPath]
-    residual_energy: float
     iterations: int
     stop_reason: Literal["criterion", "max_paths", "stalled"]
 
@@ -375,6 +374,4 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
                 paths = update_all_gains(cfg, y, paths, *ramps)
             residual = _residual(y, paths, *ramps)
             iterations += 1
-
-        energy = float(np.vdot(residual, residual).real)
-    return NompResult(paths=paths, residual_energy=energy, iterations=iterations, stop_reason=stop_reason)
+    return NompResult(paths=paths, iterations=iterations, stop_reason=stop_reason)

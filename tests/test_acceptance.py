@@ -5,6 +5,7 @@
 # left red rather than weakened.
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -158,7 +159,8 @@ def test_criterion_4_noiseless_exact_recovery(capsys):
                 for d in res.paths
             )
             worst_cells = max(worst_cells, best)
-        worst_resid = max(worst_resid, res.residual_energy / cfg.size)
+        residual = y - synthesize_from_normalized(cfg, res.paths)
+        worst_resid = max(worst_resid, float(np.vdot(residual, residual).real) / cfg.size)
     ok = count_ok and worst_cells <= 1e-6 and worst_resid <= 1e-12
     report_line(
         capsys,
@@ -204,10 +206,9 @@ def _recon(cfg, scenario, btype, K, snr_list, trials, gammas=(2, 2)):
         gamma1=gammas[0], gamma2=gammas[1], stopping=StoppingRule("false_alarm", p_fa=0.01)
     )
     return run_reconstruction_experiment(
-        cfg,
+        replace(cfg, K=K),
         scenario,
         btype,
-        K,
         snr_list,
         trials,
         seed=0,

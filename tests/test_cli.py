@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdd_recon import cli
+from fdd_recon import cli, harness
 from fdd_recon.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, config_hash, main
 
 COMMITTED_CONFIGS = sorted((Path(__file__).parent.parent / "scripts" / "configs").glob("*.json"))
@@ -174,19 +174,20 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("K", [0, 64])
-    def test_pilot_stride_outside_band_exit2(self, tmp_path, capsys, K):
+    @pytest.mark.parametrize(
+        "K, message", [(0, "K must be >= 1"), (64, "pilot stride K must be in [1, 32]")], ids=["0", "64"]
+    )
+    def test_pilot_stride_outside_band_exit2(self, tmp_path, capsys, K, message):
         # K = 0 divided by zero and K = 64 > N left no pilots: both ran into runtime errors
         out = tmp_path / "o"
         config = {
             "experiment": "reconstruction",
-            "system": {"M": 4, "N": 32},
+            "system": {"M": 4, "N": 32, "K": K},
             "scenario": {"kind": "sparse_two_path"},
             "trials": 1,
-            "K": K,
         }
         assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_CONFIG
-        assert "pilot stride K must be in [1, 32]" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_phase_error_pilot_stride_outside_band_exit2(self, tmp_path, capsys):
@@ -237,13 +238,14 @@ class TestRun:
                 dict(RECON_CONFIG, scenario={"kind": "cluster", "angular_spread_deg": -10.0}),
                 "angular_spread_deg must be a number in [0, 180]",
             ),
-            (dict(RECON_CONFIG, K=4.0), "pilot stride K must be an integer"),
+            (dict(RECON_CONFIG, system={"M": 2, "N": 16, "K": 4.0}), "K must be an integer, got 4.0"),
             (dict(BASE_CONFIG, beamforming="type9"), "unknown keys in config: ['beamforming']"),
             (dict(FALSE_ALARM_CONFIG, scenario={"kind": "sparse_two_path"}), "unknown keys in config: ['scenario']"),
             (dict(PHASE_CONFIG, snr_db=[10.0]), "unknown keys in config: ['snr_db']"),
             (dict(PHASE_CONFIG, nomp={}), "unknown keys in config: ['nomp']"),
             (dict(PHASE_CONFIG, scenario={"kind": "sparse_two_path"}), "unknown keys in config: ['scenario']"),
-            (dict(PHASE_CONFIG, system={"M": 2, "N": 8}), "phase-error experiment requires a nonzero system.delta_F"),
+            (dict(PHASE_CONFIG, system={"M": 2, "N": 8}), "the phase-error experiment needs a nonzero delta_F"),
+            (dict(RECON_CONFIG, K=4), "unknown keys in config: ['K']"),
         ],
     )
     def test_bad_config_exit2_writes_nothing(self, tmp_path, monkeypatch, capsys, config, message):
@@ -308,18 +310,53 @@ class TestRun:
     def test_missing_file_exit2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
-    def test_runtime_failure_exit3(self, tmp_path):
-        # equal-power grid with infeasible separations fails at run time
-        config = dict(BASE_CONFIG, scenario={"kind": "equal_power_grid", "count": 9})
+    def test_runtime_failure_exit3(self, tmp_path, capsys):
+        # a gain of 1e150 overflows the pursuit's sums inside the first trial
+        config = dict(BASE_CONFIG, snr_db=[3000.0])
         cfg_path = write_config(tmp_path, config)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "sweep point 0, trial 0, seed 1: FloatingPointError" in err
 
-    def test_cluster_delay_spread_beyond_symbol_exit3(self, tmp_path, capsys):
-        # whether the spread fits depends on N, so it is checked as each trial draws its paths
+    def test_cluster_delay_spread_beyond_symbol_exit2(self, tmp_path, capsys):
+        # whether the spread fits depends on N, so the harness checks it against the system before any trial
         config = dict(RECON_CONFIG, scenario={"kind": "cluster", "delay_spread_cells": 20.0})
         cfg_path = write_config(tmp_path, config)
-        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "delay_spread_cells 20.0 exceeds the N = 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                dict(BASE_CONFIG, system={"M": 4, "N": 8}, scenario={"kind": "equal_power_grid", "count": 15}),
+                "15 paths cannot keep separations (0.125, 0.25)",
+            ),
+            (
+                dict(RECON_CONFIG, system={"M": 4, "N": 8}, scenario={"kind": "equal_power_grid", "count": 15}),
+                "15 paths cannot keep separations (0.125, 0.25)",
+            ),
+            (
+                dict(RECON_CONFIG, scenario={"kind": "cluster", "delay_spread_cells": 20.0}),
+                "delay_spread_cells 20.0 exceeds the N = 16",
+            ),
+            (
+                dict(PHASE_CONFIG, system={"M": 2, "N": 8, "delta_f": 75e3, "delta_F": 75e3}),
+                "offset_delay_product_range (0.1, 0.5) reaches |delta_f*delta_tau| >= 1/2",
+            ),
+            # the LS and LMMSE baselines take every fourth subcarrier
+            (dict(RECON_CONFIG, system={"M": 2, "N": 2, "K": 2}), "pilot stride K must be in [1, 2], got 4"),
+            (dict(BASE_CONFIG, scenario={"kind": "cluster"}), "crb experiment requires an equal_power_grid scenario"),
+            (dict(RECON_CONFIG, beamforming="type3"), "beamforming must be 'type1' or 'type2', got 'type3'"),
+        ],
+    )
+    def test_run_argument_error_exit2_before_any_trial(self, tmp_path, monkeypatch, capsys, config, message):
+        # the harness checks what depends on the system as it sets up, so no trial map starts
+        monkeypatch.setattr(harness, "_map_trials", lambda *args: pytest.fail("a trial ran"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(write_config(tmp_path, config))]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_cli_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)

@@ -34,7 +34,15 @@ from fdd_recon import (
 )
 from fdd_recon.config import NormalizedPath, wrapped_dists
 from fdd_recon import harness
-from fdd_recon.harness import DimensionMismatchError, TrialWorkerError, _map_trials, _sweep, mse_linear, to_db
+from fdd_recon.harness import (
+    DimensionMismatchError,
+    TrialError,
+    TrialWorkerError,
+    _map_trials,
+    _sweep,
+    mse_linear,
+    to_db,
+)
 from oracles import phase_error_law
 
 
@@ -473,7 +481,6 @@ class TestExperiments:
         kw = dict(
             scenario=SparseTwoPath(),
             btype="type1",
-            K=4,
             snr_list_db=[10.0, 20.0],
             trials=6,
             seed=3,
@@ -494,7 +501,7 @@ class TestExperiments:
             lambda: run_crb_experiment(cfg, [20.0], trials, scenario=EqualPowerGrid(count=2)),
             lambda: run_false_alarm_experiment(cfg, 0.1, trials),
             lambda: run_phase_error_experiment(cfg, trials),
-            lambda: run_reconstruction_experiment(cfg, SparseTwoPath(), "type1", 4, [10.0], trials),
+            lambda: run_reconstruction_experiment(cfg, SparseTwoPath(), "type1", [10.0], trials),
         ]
         for run in runs:
             with pytest.raises(ValueError, match="trials"):
@@ -570,6 +577,17 @@ class TestTrialWorkers:
         with time_limit(30), pytest.raises(RankDeficientError, match="duplicate detections") as info:
             _map_trials(trial, 6, 2)
         assert info.value.duplicates == [(0, 2)]
+        assert os.sched_getaffinity(0) == AFFINITY_AT_IMPORT
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_trial_raises_a_trial_error_that_names_it(self, threads):
+        # 3000 dB overflows the pursuit on point 1's one trial, job 1, which
+        # the forked worker runs when there are two
+        cfg = cfg_mn(4, 16)
+        with time_limit(30), pytest.raises(TrialError) as info:
+            run_crb_experiment(cfg, [20.0, 3000.0], 1, seed=7, scenario=EqualPowerGrid(count=2), threads=threads)
+        assert str(info.value).startswith("sweep point 1, trial 0, seed 7: FloatingPointError: overflow")
         assert os.sched_getaffinity(0) == AFFINITY_AT_IMPORT
         assert_no_child_left()
 

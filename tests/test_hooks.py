@@ -72,6 +72,6 @@ def test_trials_call_every_timed_layer_through_its_hooked_name(monkeypatch):
     harness.run_crb_experiment(cfg, [20.0], trials=1, scenario=harness.EqualPowerGrid(count=2), threads=1)
     rule = NompConfig(stopping=StoppingRule("false_alarm", p_fa=0.01))
     harness.run_reconstruction_experiment(
-        cfg, harness.SparseTwoPath(), "type1", 2, [20.0], trials=1, nomp_cfg=rule, threads=1
+        cfg, harness.SparseTwoPath(), "type1", [20.0], trials=1, nomp_cfg=rule, threads=1
     )
     assert [layer for layer in TIMED_LAYERS if not calls[layer]] == []
