@@ -7,9 +7,12 @@ A and B are report.json files, run directories holding one, or directories
 whose subdirectories are runs (as scripts/run_all.sh writes them); runs are
 then paired by subdirectory name.  For each pair it prints, for every curve,
 bound and list of per-trial values, whether the two are equal and their
-largest |delta dB| (or that their counts differ), and whether the extras are
-equal.  Run time and build are not compared.  Exits 0 when every pair is
-identical, 1 when anything differs or a run is missing.
+largest |delta dB| (or that their counts differ; a null point against a number
+differs by inf), and whether the extras are equal.  It then compares the output
+files beside the two reports, curves.csv and every cdf_*.csv, byte for byte,
+and names a file present on one side only.  Run time and build are not
+compared.  Exits 0 when every pair is identical, 1 when anything differs or a
+run is missing.
 """
 import json
 import math
@@ -23,7 +26,8 @@ def load(path: Path) -> dict:
 
 def largest_delta(a, b):
     """Largest |a_i - b_i| over two equal-length lists (nested one level for
-    per-trial values), or None when their shapes differ."""
+    per-trial values), or None when their shapes differ; a null (a point with
+    no values) against a number counts as inf."""
     if len(a) != len(b):
         return None
     worst = 0.0
@@ -33,6 +37,8 @@ def largest_delta(a, b):
             if inner is None:
                 return None
             worst = max(worst, inner)
+        elif x is None or y is None:
+            worst = max(worst, 0.0 if x is y else math.inf)
         elif not (x == y or (math.isnan(x) and math.isnan(y))):
             worst = max(worst, abs(x - y))
     return worst
@@ -67,6 +73,27 @@ def compare(name: str, a: dict, b: dict) -> bool:
     return same
 
 
+def output_files(run: Path) -> dict:
+    return {p.name: p for p in [run / "curves.csv", *run.glob("cdf_*.csv")] if p.is_file()}
+
+
+def compare_files(a: Path, b: Path) -> bool:
+    """Print which output files of two run directories differ byte for byte
+    or are present on one side only; True when none does."""
+    fa, fb = output_files(a), output_files(b)
+    same = True
+    for name in sorted(set(fa) | set(fb)):
+        if name not in fa or name not in fb:
+            print(f"  {name}: present on one side only")
+            same = False
+        elif fa[name].read_bytes() != fb[name].read_bytes():
+            print(f"  {name}: differ")
+            same = False
+    if same:
+        print(f"  files: {len(fa)} equal")
+    return same
+
+
 def report_file(path: Path) -> Path | None:
     if path.is_file():
         return path
@@ -93,6 +120,7 @@ def main(argv):
             same = False
             continue
         same = compare(name, load(x), load(y)) and same
+        same = compare_files(x.parent, y.parent) and same
     print("identical" if same else "DIFFERENT")
     return 0 if same else 1
 

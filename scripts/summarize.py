@@ -14,7 +14,8 @@ def summarize(path: Path):
     print(f"{path}  [{rep['experiment']}, {rep['trials']} trials, seed {rep['seed']}]")
     snrs = rep["snr_db"]
     for name, vals in sorted(rep["curves"].items()):
-        cells = "  ".join(f"{s:>5.1f}dB:{v:8.2f}" for s, v in zip(snrs, vals)) or f"{vals}"
+        shown = ["null" if v is None else f"{v:.2f}" for v in vals]  # null: a point without values
+        cells = "  ".join(f"{s:>5.1f}dB:{v:>8}" for s, v in zip(snrs, shown)) or f"{vals}"
         print(f"  {name:<24} {cells}")
     for key, val in rep.get("extras", {}).items():
         print(f"  extras.{key} = {val}")

@@ -141,8 +141,8 @@ def _atomic_write(path: Path, text: str):
         raise
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _fmt(v: float | None) -> str:
+    return "" if v is None else repr(float(v))
 
 
 def _csv(lines: List[List[str]], chash: str) -> str:

@@ -2,7 +2,9 @@
 # bound-comparison runs.  All experiments inject unit-variance noise per
 # element and sweep SNR by scaling path gains; trial t of sweep point s draws
 # its RNG from SeedSequence((seed, s, t)) so reports are bit-identical at any
-# worker count.
+# worker count.  Each trial returns a TrialRecord of named linear values and
+# counts; _reduce pools a sweep's records per point into curves (dB of the
+# mean of all values, None if there are none), per-trial dB lists and sums.
 #
 # Trials run on `threads` trial workers: this process and copies of it forked
 # once per experiment run, each pinned to one CPU (a trial holds the GIL, so
@@ -224,7 +226,7 @@ class ExperimentReport:
     seed: int
     trials: int
     snr_db: List[float]
-    curves: Dict[str, List[float]]  # mean MSE (dB) per SNR point
+    curves: Dict[str, List[float | None]]  # mean MSE (dB) per SNR point; None: no values
     per_trial_db: Dict[str, List[List[float]]]  # per SNR point, per trial
     bounds: Dict[str, List[float]] = field(default_factory=dict)
     extras: Dict[str, object] = field(default_factory=dict)
@@ -356,13 +358,25 @@ def _sweep(
     return [results[i : i + trials] for i in range(0, len(results), trials)]
 
 
-def _db_curves(
-    names: Sequence[str], sweep: Sequence[Sequence[Dict[str, float]]]
-) -> Tuple[Dict[str, List[float]], Dict[str, List[List[float]]]]:
-    """Per name and point: dB of the mean linear value, and each trial's dB."""
-    curves = {n: [to_db(float(np.mean([r[n] for r in point]))) for point in sweep] for n in names}
-    per_trial = {n: [[to_db(r[n]) for r in point] for point in sweep] for n in names}
-    return curves, per_trial
+@dataclass(frozen=True)
+class TrialRecord:
+    values: Dict[str, List[float]]  # linear values, pooled over a point's trials
+    counts: Dict[str, int]  # summed over a point's trials
+
+
+def _mean_db(values: Sequence[float]) -> float | None:
+    return to_db(float(np.mean(values))) if values else None
+
+
+def _reduce(sweep: Sequence[Sequence[TrialRecord]]) -> Tuple[dict, dict, dict]:
+    """Per name, a list over points: curves, per-trial dB lists and counts."""
+    if not sweep:
+        raise ValueError("an experiment needs at least one sweep point, got an empty SNR list")
+    first = sweep[0][0]
+    curves = {n: [_mean_db([v for r in point for v in r.values[n]]) for point in sweep] for n in first.values}
+    per_trial = {n: [[_mean_db(r.values[n]) for r in point if r.values[n]] for point in sweep] for n in first.values}
+    counts = {n: [sum(r.counts[n] for r in point) for point in sweep] for n in first.counts}
+    return curves, per_trial, counts
 
 
 # ---------------------------------------------------------------------------
@@ -421,28 +435,18 @@ def run_crb_experiment(
     snr_list = [10.0 ** (snr_db / 10.0) for snr_db in snr_list_db]
     bound_reports = [crb(cfg.M, cfg.N, snr) for snr in snr_list]
 
-    def trial(snr: float, rng: np.random.Generator):
+    def trial(snr: float, rng: np.random.Generator) -> TrialRecord:
         truth = generate_scenario(cfg, scenario, rng, total_power=snr * scenario.count)
         y = add_noise(synthesize_uplink(cfg, truth), 1.0, rng)
         res = nomp_extract(y, cfg, nomp_cfg)
         matches = match_paths(truth, res.paths, radius_mu, radius_nu)
         t = np.array([(truth[i].mu, truth[i].nu) for i, _ in matches]).reshape(-1, 2)
         e = np.array([(res.paths[j].mu, res.paths[j].nu) for _, j in matches]).reshape(-1, 2)
-        sq_mu, sq_nu = (wrapped_dists(t, e) ** 2).T.tolist()
-        missed = len(truth) - len(matches)
-        fakes = len(res.paths) - len(matches)
-        return sq_mu, sq_nu, missed, fakes
+        sq_mu, sq_nu = (wrapped_dists(t, e) ** 2 * (cfg.N**2, cfg.M**2)).T.tolist()  # N^2 dmu^2, M^2 dnu^2
+        missed, fakes = len(truth) - len(matches), len(res.paths) - len(matches)
+        return TrialRecord({"eps_mu_db": sq_mu, "eps_nu_db": sq_nu}, {"missed": missed, "fakes": fakes})
 
-    sweep = _sweep(snr_list, trials, seed, threads, trial)
-
-    def eps_db(squares: Sequence[float], size: int) -> float:
-        return to_db(float(np.mean(squares)) * size**2)
-
-    curves: Dict[str, List[float]] = {}
-    per_trial: Dict[str, List[List[float]]] = {}
-    for k, (name, size) in enumerate((("eps_mu_db", cfg.N), ("eps_nu_db", cfg.M))):
-        curves[name] = [eps_db([sq for r in point for sq in r[k]], size) for point in sweep]
-        per_trial[name] = [[eps_db(r[k], size) for r in point if r[k]] for point in sweep]
+    curves, per_trial, counts = _reduce(_sweep(snr_list, trials, seed, threads, trial))
     return ExperimentReport(
         experiment="crb",
         seed=seed,
@@ -455,8 +459,7 @@ def run_crb_experiment(
             "bound_nu_db": [to_db(r.eps_nu_bound) for r in bound_reports],
         },
         extras={
-            "missed_rate": [sum(r[2] for r in point) / (trials * scenario.count) for point in sweep],
-            "false_alarms": [sum(r[3] for r in point) for point in sweep],
+            "missed_rate": [m / (trials * scenario.count) for m in counts["missed"]], "false_alarms": counts["fakes"]
         },
         wall_clock_s=time.perf_counter() - t0,
     )
@@ -480,11 +483,11 @@ def run_false_alarm_experiment(
     rule = StoppingRule("false_alarm", p_fa=p_fa)
     nomp_cfg = replace(nomp_cfg or NompConfig(gamma1=2, gamma2=2), stopping=rule)
 
-    def trial(_, rng: np.random.Generator) -> int:
+    def trial(_, rng: np.random.Generator) -> TrialRecord:
         noise = add_noise(np.zeros((cfg.N, cfg.M), dtype=complex), 1.0, rng)
-        return 1 if nomp_extract(noise, cfg, nomp_cfg).paths else 0
+        return TrialRecord({}, {"fakes": 1 if nomp_extract(noise, cfg, nomp_cfg).paths else 0})
 
-    fakes = sum(_sweep([None], trials, seed, threads, trial)[0])
+    fakes = _reduce(_sweep([None], trials, seed, threads, trial))[2]["fakes"][0]
     return ExperimentReport(
         experiment="false-alarm",
         seed=seed,
@@ -523,7 +526,7 @@ def run_phase_error_experiment(
     t0 = time.perf_counter()
     pattern = PilotPattern.from_config(cfg)
 
-    def trial(snr: float, rng: np.random.Generator) -> Dict[str, float]:
+    def trial(snr: float, rng: np.random.Generator) -> TrialRecord:
         path = generate_scenario(cfg, SparseTwoPath(), rng, total_power=snr)[0]
         delta_mu = cfg.delta_f * (rng.uniform(lo, hi) / cfg.delta_F * rng.choice([-1.0, 1.0]))
         # mu of the erroneous delay, kept in [0, 1) by the sign of its error
@@ -543,14 +546,11 @@ def run_phase_error_experiment(
         A = build_coefficient_matrix(cfg, pattern, [estimate], "type1")
         h_refined = reconstruct_downlink(cfg, refine_gains(A, y_dl), [estimate])
 
-        return {
-            "direct_inference": mse_linear(h_direct, h_dl),
-            "refined_reconstruction": mse_linear(h_refined, h_dl),
-        }
+        direct, refined = mse_linear(h_direct, h_dl), mse_linear(h_refined, h_dl)
+        values = {"direct_inference": [direct], "refined_reconstruction": [refined]}
+        return TrialRecord(values, {"wins": int(refined < direct)})
 
-    sweep = _sweep([10.0 ** (snr_db / 10.0)], trials, seed, threads, trial)
-    curves, per_trial = _db_curves(["direct_inference", "refined_reconstruction"], sweep)
-    wins = sum(1 for r in sweep[0] if r["refined_reconstruction"] < r["direct_inference"])
+    curves, per_trial, counts = _reduce(_sweep([10.0 ** (snr_db / 10.0)], trials, seed, threads, trial))
     return ExperimentReport(
         experiment="phase-error",
         seed=seed,
@@ -558,7 +558,7 @@ def run_phase_error_experiment(
         snr_db=[snr_db],
         curves=curves,
         per_trial_db=per_trial,
-        extras={"refined_win_fraction": wins / trials},
+        extras={"refined_win_fraction": counts["wins"][0] / trials},
         wall_clock_s=time.perf_counter() - t0,
     )
 
@@ -628,45 +628,44 @@ def run_reconstruction_experiment(
     nomp_cfg = nomp_cfg or NompConfig()
     if btype not in ("type1", "type2"):
         raise ValueError(f"beamforming must be 'type1' or 'type2', got {btype!r}")
+    if cfg.N < 4:
+        raise ValueError(f"the LS and LMMSE baselines take every fourth subcarrier and need N >= 4, got N = {cfg.N}")
     refine_pattern = PilotPattern.from_config(cfg)
     baseline_pattern = PilotPattern.from_config(cfg, 4)
     check_scenario(cfg, scenario)
     base_cov = genie_covariance(cfg, scenario)
 
-    def trial(point: Tuple[float, np.ndarray], rng: np.random.Generator) -> Dict[str, float]:
+    def trial(point: Tuple[float, np.ndarray], rng: np.random.Generator) -> TrialRecord:
         snr, W = point
         paths = generate_scenario(cfg, scenario, rng, total_power=snr)
         h_ul = synthesize_uplink(cfg, paths)
         h_dl = synthesize_downlink(cfg, paths)
         detected = nomp_extract(add_noise(h_ul, 1.0, rng), cfg, nomp_cfg).paths
 
-        out: Dict[str, float] = {
-            "uplink_recon": mse_linear(synthesize_from_normalized(cfg, detected), h_ul),
-            "direct_inference": mse_linear(synthesize_downlink(cfg, detected), h_dl),  # uplink gains
-            # without detections, or when flagged, the reconstruction is zero
-            "downlink_recon": mse_linear(np.zeros_like(h_dl), h_dl),
-            "flagged": 0,
-        }
+        # without detections, or when flagged, the reconstruction is zero
+        h_rec, flagged = np.zeros_like(h_dl), 0
         if detected:
             try:
                 y_dl = simulate_downlink_pilots(cfg, refine_pattern, paths, detected, btype, 1.0, rng)
                 A = build_coefficient_matrix(cfg, refine_pattern, detected, btype)
                 h_rec = reconstruct_downlink(cfg, refine_gains(A, y_dl), detected)
-                out["downlink_recon"] = mse_linear(h_rec, h_dl)
             except RankDeficientError:
-                out["flagged"] = 1
+                flagged = 1
 
         y_p = add_noise(h_dl[baseline_pattern.rows], 1.0, rng)
-        out["ls"] = mse_linear(ls_estimate(y_p, baseline_pattern, cfg), h_dl)
-        out["lmmse"] = mse_linear(W @ y_p, h_dl)
-        return out
+        mse = {
+            "ls": mse_linear(ls_estimate(y_p, baseline_pattern, cfg), h_dl),
+            "lmmse": mse_linear(W @ y_p, h_dl),
+            "uplink_recon": mse_linear(synthesize_from_normalized(cfg, detected), h_ul),
+            "downlink_recon": mse_linear(h_rec, h_dl),
+            "direct_inference": mse_linear(synthesize_downlink(cfg, detected), h_dl),  # uplink gains
+        }
+        return TrialRecord({name: [v] for name, v in mse.items()}, {"flagged": flagged})
 
     # the filter for covariance snr * R under unit noise is R's under noise 1/snr
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in snr_list_db]
     points = [(snr, lmmse_filter(baseline_pattern, cfg, base_cov, noise_variance=1.0 / snr)) for snr in snrs]
-    sweep = _sweep(points, trials, seed, threads, trial)
-    curves, per_trial = _db_curves(["ls", "lmmse", "uplink_recon", "downlink_recon", "direct_inference"], sweep)
-    flagged_per_snr = [sum(r["flagged"] for r in point) for point in sweep]
+    curves, per_trial, counts = _reduce(_sweep(points, trials, seed, threads, trial))
     return ExperimentReport(
         experiment="reconstruction",
         seed=seed,
@@ -674,6 +673,6 @@ def run_reconstruction_experiment(
         snr_db=list(snr_list_db),
         curves=curves,
         per_trial_db=per_trial,
-        extras={"flagged_trials": flagged_per_snr, "beamforming": btype, "K": cfg.K},
+        extras={"flagged_trials": counts["flagged"], "beamforming": btype, "K": cfg.K},
         wall_clock_s=time.perf_counter() - t0,
     )

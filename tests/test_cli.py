@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,17 @@ RECON_CONFIG = {
 }
 
 PHASE_CONFIG = {"experiment": "phase-error", "system": {"M": 2, "N": 8, "delta_F": 300e6}, "trials": 1}
+
+# at -40 dB every path is missed, so that point has no matched squared error
+EMPTY_POINT_CONFIG = {
+    "experiment": "crb",
+    "system": {"M": 4, "N": 16},
+    "scenario": {"kind": "equal_power_grid", "count": 2},
+    "nomp": {"gamma1": 2, "gamma2": 2, "stopping": {"variant": "power"}},
+    "snr_db": [-40.0, 20.0],
+    "trials": 3,
+    "seed": 0,
+}
 
 FALSE_ALARM_CONFIG = {"experiment": "false-alarm", "system": {"M": 2, "N": 8}, "trials": 2, "p_fa": 0.5}
 
@@ -69,6 +81,26 @@ class TestRun:
         assert lines[1] == "snr_db,estimator,mse_db"
         estimators = {row.split(",")[1] for row in lines[2:]}
         assert estimators == {"ls", "lmmse", "uplink_recon", "downlink_recon", "direct_inference"}
+
+    def test_point_without_values_is_null_in_report_and_empty_in_csv(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(write_config(tmp_path, EMPTY_POINT_CONFIG)), "--out", str(out)]) == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"), parse_constant=reject)["report"]
+        assert report["extras"]["missed_rate"][0] == 1.0
+        for name in ("eps_mu_db", "eps_nu_db"):
+            assert report["curves"][name][0] is None
+            assert isinstance(report["curves"][name][1], float)
+            assert report["per_trial_db"][name][0] == []
+        rows = (out / "curves.csv").read_text(encoding="utf-8").splitlines()[2:]
+        assert rows[0].split(",")[:3] == ["-40.0", "", ""]
+        assert all(cell for cell in rows[1].split(","))
+        assert sorted(p.name for p in out.glob("cdf_*.csv")) == ["cdf_eps_mu_db_snr20.0.csv", "cdf_eps_nu_db_snr20.0.csv"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)
@@ -345,7 +377,10 @@ class TestRun:
                 "offset_delay_product_range (0.1, 0.5) reaches |delta_f*delta_tau| >= 1/2",
             ),
             # the LS and LMMSE baselines take every fourth subcarrier
-            (dict(RECON_CONFIG, system={"M": 2, "N": 2, "K": 2}), "pilot stride K must be in [1, 2], got 4"),
+            (
+                dict(RECON_CONFIG, system={"M": 2, "N": 2, "K": 2}),
+                "the LS and LMMSE baselines take every fourth subcarrier and need N >= 4, got N = 2",
+            ),
             (dict(BASE_CONFIG, scenario={"kind": "cluster"}), "crb experiment requires an equal_power_grid scenario"),
             (dict(RECON_CONFIG, beamforming="type3"), "beamforming must be 'type1' or 'type2', got 'type3'"),
         ],

@@ -37,8 +37,10 @@ from fdd_recon import harness
 from fdd_recon.harness import (
     DimensionMismatchError,
     TrialError,
+    TrialRecord,
     TrialWorkerError,
     _map_trials,
+    _reduce,
     _sweep,
     mse_linear,
     to_db,
@@ -507,6 +509,13 @@ class TestExperiments:
             with pytest.raises(ValueError, match="trials"):
                 run()
 
+    def test_empty_snr_list_rejected(self):
+        cfg = cfg_mn(4, 16, delta_F=300e6)
+        with pytest.raises(ValueError, match="empty SNR list"):
+            run_crb_experiment(cfg, [], 2, scenario=EqualPowerGrid(count=2))
+        with pytest.raises(ValueError, match="empty SNR list"):
+            run_reconstruction_experiment(cfg, SparseTwoPath(), "type1", [], 2)
+
     @pytest.mark.parametrize("threads", [-1, 0])
     def test_threads_must_be_positive(self, threads):
         with pytest.raises(ValueError, match="threads"):
@@ -520,6 +529,40 @@ class TestExperiments:
         x, levels = rep.cdf("eps_mu_db", 0)
         assert len(x) == len(levels) > 0
         assert levels[-1] == 1.0
+
+
+class TestReduce:
+    def test_curve_is_the_db_of_numpys_mean_of_the_pooled_values(self):
+        # 12 trials: numpy's pairwise sum rounds apart from a running sum here
+        values = np.random.default_rng(1).uniform(size=12).tolist()
+        curves, per_trial, _ = _reduce([[TrialRecord({"mse": [v]}, {}) for v in values]])
+        assert curves["mse"] == [to_db(float(np.mean(values)))]
+        assert curves["mse"] != [to_db(sum(values) / len(values))]
+        assert per_trial["mse"] == [[to_db(v) for v in values]]
+
+    def test_lists_of_several_values_pool_in_trial_order(self):
+        trials = [[0.5, 0.25], [0.125], [1.0, 2.0, 4.0], [0.75, 0.5, 0.25, 1.5]]
+        curves, per_trial, _ = _reduce([[TrialRecord({"eps": v}, {}) for v in trials]])
+        assert curves["eps"] == [to_db(float(np.mean([v for t in trials for v in t])))]
+        assert per_trial["eps"] == [[to_db(float(np.mean(t))) for t in trials]]
+
+    def test_trials_without_values_are_left_out_and_an_empty_point_is_none(self):
+        sweep = [
+            [TrialRecord({"eps": []}, {}), TrialRecord({"eps": [0.1]}, {}), TrialRecord({"eps": []}, {})],
+            [TrialRecord({"eps": []}, {}), TrialRecord({"eps": []}, {})],
+        ]
+        curves, per_trial, _ = _reduce(sweep)
+        assert curves["eps"] == [to_db(0.1), None]
+        assert per_trial["eps"] == [[to_db(0.1)], []]
+
+    def test_counts_are_summed_per_point(self):
+        sweep = [
+            [TrialRecord({}, {"missed": 1, "fakes": 0}), TrialRecord({}, {"missed": 2, "fakes": 3})],
+            [TrialRecord({}, {"missed": 0, "fakes": 1}), TrialRecord({}, {"missed": 0, "fakes": 0})],
+        ]
+        curves, per_trial, counts = _reduce(sweep)
+        assert (curves, per_trial) == ({}, {})
+        assert counts == {"missed": [3, 0], "fakes": [3, 1]}
 
 
 @contextlib.contextmanager
