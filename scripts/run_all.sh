@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Run every example experiment config and verify the emitted reports.
-# Usage: scripts/run_all.sh [OUT_DIR] [WORKERS]
+# Usage: scripts/run_all.sh [OUT_DIR] [WORKERS] [TRIALS]
 # WORKERS is the number of trial workers (default: FDD_RECON_THREADS, else
 # nproc).  Reports are bit-identical at any worker count; only the run time
-# changes.  The CLI runs from this checkout's src/, installed or not.
+# changes.  TRIALS, when given, is passed to every config as --trials.  The
+# CLI runs from this checkout's src/, installed or not, so two checkouts'
+# outputs can be compared with scripts/compare_reports.py.
 set -euo pipefail
 
 here="$(cd "$(dirname "$0")" && pwd)"
@@ -14,6 +16,6 @@ export PYTHONPATH="$here/../src${PYTHONPATH:+:$PYTHONPATH}"
 for cfg in "$here"/configs/*.json; do
     name="$(basename "$cfg" .json)"
     echo "== $name"
-    python3 -m fdd_recon.cli run "$cfg" --out "$out/$name" --threads "$threads"
+    python3 -m fdd_recon.cli run "$cfg" --out "$out/$name" --threads "$threads" ${3:+--trials "$3"}
     python3 -m fdd_recon.cli verify "$out/$name/report.json"
 done

@@ -24,7 +24,6 @@ from .downlink import (
 from .baselines import KroneckerCovariance, lmmse_filter, ls_estimate
 from .harness import (
     Cluster,
-    Custom,
     EqualPowerGrid,
     ExperimentReport,
     InfeasibleSeparationError,
@@ -69,7 +68,6 @@ __all__ = [
     "SparseTwoPath",
     "Cluster",
     "EqualPowerGrid",
-    "Custom",
     "InfeasibleSeparationError",
     "TrialError",
     "TrialWorkerError",

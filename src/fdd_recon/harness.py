@@ -6,6 +6,12 @@
 # counts; _reduce pools a sweep's records per point into curves (dB of the
 # mean of all values, None if there are none), per-trial dB lists and sums.
 #
+# Every run_* shares one skeleton: _snr_powers checks the SNR list and turns
+# it into linear powers before any set-up uses them, _sweep checks trials,
+# seed and the worker count before the first trial, and _run sweeps, reduces
+# and builds the report.  A run_* keeps its checks that depend on the system,
+# its set-up, its trial function and how its counts map to extras.
+#
 # Trials run on `threads` trial workers: this process and copies of it forked
 # once per experiment run, each pinned to one CPU (a trial holds the GIL, so
 # threads could not run two at once).
@@ -14,6 +20,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field, replace
@@ -108,12 +115,7 @@ class EqualPowerGrid:
                 raise ValueError(f"{name} must be null or a finite number >= 0, got {sep!r}")
 
 
-@dataclass(frozen=True)
-class Custom:
-    paths: Tuple[NormalizedPath, ...] = ()
-
-
-ScenarioSpec = SparseTwoPath | Cluster | EqualPowerGrid | Custom
+ScenarioSpec = SparseTwoPath | Cluster | EqualPowerGrid
 
 
 def _random_phase(rng: np.random.Generator) -> complex:
@@ -160,8 +162,6 @@ def generate_scenario(
     random scenarios draw angles theta in [-pi/2, pi/2] as
     nu = (d/lambda)*sin(theta) mod 1.
     """
-    if isinstance(spec, Custom):
-        return list(spec.paths)
     check_scenario(cfg, spec)
 
     d = cfg.d_over_lambda
@@ -336,15 +336,15 @@ def _sweep(
 ) -> List[list]:
     """results[s][t] = trial(point_s, rng) with rng from SeedSequence((seed, s, t)).
 
-    Every point is built first; then one trial map runs every (point, trial)
-    as job i = s * trials + t, so the workers fork once per run.  A trial's
-    exception comes back as a TrialError naming it: a cause would not survive
-    the pipe from a forked worker.
+    Integers trials, threads >= 1 and seed >= 0 are checked first, then every
+    point is built; then one trial map runs every (point, trial) as job
+    i = s * trials + t, so the workers fork once per run.  A trial's exception
+    comes back as a TrialError naming it: a cause would not survive the pipe
+    from a forked worker.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads (trial workers) must be >= 1, got {threads}")
+    check_integer("trials", trials, 1)
+    check_integer("seed", seed, 0)
+    check_integer("threads", threads, 1)
     points = list(points)
 
     def job(i: int):
@@ -370,13 +370,47 @@ def _mean_db(values: Sequence[float]) -> float | None:
 
 def _reduce(sweep: Sequence[Sequence[TrialRecord]]) -> Tuple[dict, dict, dict]:
     """Per name, a list over points: curves, per-trial dB lists and counts."""
-    if not sweep:
-        raise ValueError("an experiment needs at least one sweep point, got an empty SNR list")
     first = sweep[0][0]
     curves = {n: [_mean_db([v for r in point for v in r.values[n]]) for point in sweep] for n in first.values}
     per_trial = {n: [[_mean_db(r.values[n]) for r in point if r.values[n]] for point in sweep] for n in first.values}
     counts = {n: [sum(r.counts[n] for r in point) for point in sweep] for n in first.counts}
     return curves, per_trial, counts
+
+
+def _snr_powers(snr_db: Sequence[float]) -> List[float]:
+    """The linear powers 10 ** (snr / 10) of a non-empty list of dB values.
+    Raises ValueError for anything else, and for a power that overflows or
+    underflows: one below the smallest normal float would make its noise
+    variance 1 / power overflow."""
+    prefix = f"snr_db must be a non-empty list of finite numbers, got {snr_db!r}"
+    if not (isinstance(snr_db, (list, tuple)) and snr_db and all(finite_real(v) for v in snr_db)):
+        raise ValueError(prefix)
+    try:
+        powers = [10.0 ** (snr / 10.0) for snr in snr_db]
+    except OverflowError:
+        raise ValueError(f"{prefix}: a power 10 ** (snr / 10) overflows") from None
+    if min(powers) < sys.float_info.min:
+        raise ValueError(f"{prefix}: a power 10 ** (snr / 10) underflows")
+    return powers
+
+
+def _run(
+    experiment: str,
+    snr_db: Sequence[float],
+    points: Iterable[object],
+    trials: int,
+    seed: int,
+    threads: int,
+    trial: Callable[[object, np.random.Generator], TrialRecord],
+    t0: float,
+) -> Tuple[ExperimentReport, Dict[str, List[int]]]:
+    """Sweep the points, reduce the records and build the run's report, its
+    wall clock timed from t0.  Returns the report and the counts summed per
+    point; the caller maps the counts into its extras."""
+    curves, per_trial, counts = _reduce(_sweep(points, trials, seed, threads, trial))
+    report = ExperimentReport(experiment, seed, trials, list(snr_db), curves, per_trial)
+    report.wall_clock_s = time.perf_counter() - t0
+    return report, counts
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +466,7 @@ def run_crb_experiment(
     radius_mu = 0.5 / (nomp_cfg.gamma1 * cfg.N)
     radius_nu = 0.5 / (nomp_cfg.gamma2 * cfg.M)
 
-    snr_list = [10.0 ** (snr_db / 10.0) for snr_db in snr_list_db]
+    snr_list = _snr_powers(snr_list_db)
     bound_reports = [crb(cfg.M, cfg.N, snr) for snr in snr_list]
 
     def trial(snr: float, rng: np.random.Generator) -> TrialRecord:
@@ -446,23 +480,15 @@ def run_crb_experiment(
         missed, fakes = len(truth) - len(matches), len(res.paths) - len(matches)
         return TrialRecord({"eps_mu_db": sq_mu, "eps_nu_db": sq_nu}, {"missed": missed, "fakes": fakes})
 
-    curves, per_trial, counts = _reduce(_sweep(snr_list, trials, seed, threads, trial))
-    return ExperimentReport(
-        experiment="crb",
-        seed=seed,
-        trials=trials,
-        snr_db=list(snr_list_db),
-        curves=curves,
-        per_trial_db=per_trial,
-        bounds={
-            "bound_mu_db": [to_db(r.eps_mu_bound) for r in bound_reports],
-            "bound_nu_db": [to_db(r.eps_nu_bound) for r in bound_reports],
-        },
-        extras={
-            "missed_rate": [m / (trials * scenario.count) for m in counts["missed"]], "false_alarms": counts["fakes"]
-        },
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    report, counts = _run("crb", snr_list_db, snr_list, trials, seed, threads, trial, t0)
+    report.bounds = {
+        "bound_mu_db": [to_db(r.eps_mu_bound) for r in bound_reports],
+        "bound_nu_db": [to_db(r.eps_nu_bound) for r in bound_reports],
+    }
+    report.extras = {
+        "missed_rate": [m / (trials * scenario.count) for m in counts["missed"]], "false_alarms": counts["fakes"]
+    }
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +513,10 @@ def run_false_alarm_experiment(
         noise = add_noise(np.zeros((cfg.N, cfg.M), dtype=complex), 1.0, rng)
         return TrialRecord({}, {"fakes": 1 if nomp_extract(noise, cfg, nomp_cfg).paths else 0})
 
-    fakes = _reduce(_sweep([None], trials, seed, threads, trial))[2]["fakes"][0]
-    return ExperimentReport(
-        experiment="false-alarm",
-        seed=seed,
-        trials=trials,
-        snr_db=[],
-        curves={},
-        per_trial_db={},
-        extras={"p_fa": p_fa, "empirical_rate": fakes / trials, "fake_detections": fakes},
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    report, counts = _run("false-alarm", [], [None], trials, seed, threads, trial, t0)
+    fakes = counts["fakes"][0]
+    report.extras = {"p_fa": p_fa, "empirical_rate": fakes / trials, "fake_detections": fakes}
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +543,7 @@ def run_phase_error_experiment(
     if not cfg.delta_f * np.max(np.abs(offset_delay_product_range)) < abs(cfg.delta_F) / 2:  # NaN fails too
         raise ValueError(f"offset_delay_product_range {offset_delay_product_range} reaches |delta_f*delta_tau| >= 1/2")
     t0 = time.perf_counter()
+    power = _snr_powers([snr_db])
     pattern = PilotPattern.from_config(cfg)
 
     def trial(snr: float, rng: np.random.Generator) -> TrialRecord:
@@ -550,17 +570,9 @@ def run_phase_error_experiment(
         values = {"direct_inference": [direct], "refined_reconstruction": [refined]}
         return TrialRecord(values, {"wins": int(refined < direct)})
 
-    curves, per_trial, counts = _reduce(_sweep([10.0 ** (snr_db / 10.0)], trials, seed, threads, trial))
-    return ExperimentReport(
-        experiment="phase-error",
-        seed=seed,
-        trials=trials,
-        snr_db=[snr_db],
-        curves=curves,
-        per_trial_db=per_trial,
-        extras={"refined_win_fraction": counts["wins"][0] / trials},
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    report, counts = _run("phase-error", [snr_db], power, trials, seed, threads, trial, t0)
+    report.extras = {"refined_win_fraction": counts["wins"][0] / trials}
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +645,7 @@ def run_reconstruction_experiment(
     refine_pattern = PilotPattern.from_config(cfg)
     baseline_pattern = PilotPattern.from_config(cfg, 4)
     check_scenario(cfg, scenario)
+    snrs = _snr_powers(snr_list_db)
     base_cov = genie_covariance(cfg, scenario)
 
     def trial(point: Tuple[float, np.ndarray], rng: np.random.Generator) -> TrialRecord:
@@ -663,16 +676,7 @@ def run_reconstruction_experiment(
         return TrialRecord({name: [v] for name, v in mse.items()}, {"flagged": flagged})
 
     # the filter for covariance snr * R under unit noise is R's under noise 1/snr
-    snrs = [10.0 ** (snr_db / 10.0) for snr_db in snr_list_db]
     points = [(snr, lmmse_filter(baseline_pattern, cfg, base_cov, noise_variance=1.0 / snr)) for snr in snrs]
-    curves, per_trial, counts = _reduce(_sweep(points, trials, seed, threads, trial))
-    return ExperimentReport(
-        experiment="reconstruction",
-        seed=seed,
-        trials=trials,
-        snr_db=list(snr_list_db),
-        curves=curves,
-        per_trial_db=per_trial,
-        extras={"flagged_trials": counts["flagged"], "beamforming": btype, "K": cfg.K},
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    report, counts = _run("reconstruction", snr_list_db, points, trials, seed, threads, trial, t0)
+    report.extras = {"flagged_trials": counts["flagged"], "beamforming": btype, "K": cfg.K}
+    return report

@@ -313,9 +313,12 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "value", [[],["x"], [float("nan")], [float("inf")], [10.0, True], 10, "10", None, {"a": 1}, [10**400]]
+        "value",
+        [[], ["x"], [float("nan")], [float("inf")], [10.0, True], 10, "10", None, {"a": 1}, [10**400]]
+        + [[4000.0], [-4000.0]],
     )
     def test_bad_snr_db_exit2(self, tmp_path, capsys, value):
+        # 4000 dB overflows the linear power 10 ** (snr / 10), -4000 dB underflows it to 0
         out = tmp_path / "o"
         cfg_path = write_config(tmp_path, dict(BASE_CONFIG, snr_db=value))
         assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG

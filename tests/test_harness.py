@@ -12,7 +12,6 @@ from scipy.special import j0
 
 from fdd_recon import (
     Cluster,
-    Custom,
     EqualPowerGrid,
     ExperimentReport,
     InfeasibleSeparationError,
@@ -177,11 +176,6 @@ class TestScenarios:
             for p in generate_scenario(cfg, SparseTwoPath(delay_spread_fraction=1.0), np.random.default_rng(seed)):
                 assert 0 <= p.mu < 1
 
-    def test_custom_passthrough(self):
-        cfg = cfg_mn(4, 8)
-        paths = (NormalizedPath(1.0, 0.075, 0.1),)
-        assert generate_scenario(cfg, Custom(paths), np.random.default_rng(0)) == list(paths)
-
 
 def sample_draws(cfg, spec, seed, draws):
     """Unit-power downlink channels of the scenario, one row per draw: the
@@ -212,10 +206,6 @@ class TestGenieCovariance:
         R = genie_covariance(cfg_mn(6, 20), EqualPowerGrid(count=3))
         np.testing.assert_allclose(R.mu, np.eye(20), atol=1e-15)
         np.testing.assert_allclose(R.nu, np.eye(6), atol=1e-15)
-
-    def test_custom_has_no_ensemble(self):
-        with pytest.raises(TypeError):
-            genie_covariance(cfg_mn(4, 8), Custom((NormalizedPath(1.0, 0.075, 0.1),)))
 
     @pytest.mark.parametrize(
         "d_over_lambda, spec",
@@ -496,24 +486,47 @@ class TestExperiments:
             assert len(a.curves[name]) == 2
             assert [len(p) for p in a.per_trial_db[name]] == [6, 6]
 
-    @pytest.mark.parametrize("trials", [-3, 0])
-    def test_trials_must_be_positive(self, trials):
+    @staticmethod
+    def four_runs(trials=2, seed=0, snr_db=10.0):
+        """One call of each experiment; snr_db is the phase-error SNR and the others' one-point list."""
         cfg = cfg_mn(4, 16, delta_F=300e6)
-        runs = [
-            lambda: run_crb_experiment(cfg, [20.0], trials, scenario=EqualPowerGrid(count=2)),
-            lambda: run_false_alarm_experiment(cfg, 0.1, trials),
-            lambda: run_phase_error_experiment(cfg, trials),
-            lambda: run_reconstruction_experiment(cfg, SparseTwoPath(), "type1", [10.0], trials),
+        return [
+            lambda: run_crb_experiment(cfg, [snr_db], trials, seed, scenario=EqualPowerGrid(count=2)),
+            lambda: run_false_alarm_experiment(cfg, 0.1, trials, seed),
+            lambda: run_phase_error_experiment(cfg, trials, seed, snr_db=snr_db),
+            lambda: run_reconstruction_experiment(cfg, SparseTwoPath(), "type1", [snr_db], trials, seed),
         ]
+
+    @pytest.mark.parametrize("trials", [-3, 0])
+    def test_trials_must_be_positive(self, monkeypatch, trials):
+        monkeypatch.setattr(harness, "_map_trials", lambda *args: pytest.fail("a trial ran"))
+        for run in self.four_runs(trials=trials):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                run()
+
+    @pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0"), (1.5, "seed must be an integer")])
+    def test_seed_must_be_a_non_negative_integer(self, monkeypatch, seed, message):
+        monkeypatch.setattr(harness, "_map_trials", lambda *args: pytest.fail("a trial ran"))
+        for run in self.four_runs(seed=seed):
+            with pytest.raises(ValueError, match=message):
+                run()
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), 4000.0, -4000.0, -3200.0])
+    def test_snr_must_be_finite_with_a_normal_float_power(self, monkeypatch, snr_db):
+        # 4000 dB overflows 10 ** (snr / 10), -4000 dB underflows it to 0, and
+        # -3200 dB to a subnormal power whose noise variance 1 / power is inf
+        monkeypatch.setattr(harness, "_map_trials", lambda *args: pytest.fail("a trial ran"))
+        runs = self.four_runs(snr_db=snr_db)
+        del runs[1]  # false-alarm takes no SNR
         for run in runs:
-            with pytest.raises(ValueError, match="trials"):
+            with pytest.raises(ValueError, match="snr_db must be a non-empty list of finite numbers"):
                 run()
 
     def test_empty_snr_list_rejected(self):
         cfg = cfg_mn(4, 16, delta_F=300e6)
-        with pytest.raises(ValueError, match="empty SNR list"):
+        with pytest.raises(ValueError, match=r"snr_db must be a non-empty list of finite numbers, got \[\]"):
             run_crb_experiment(cfg, [], 2, scenario=EqualPowerGrid(count=2))
-        with pytest.raises(ValueError, match="empty SNR list"):
+        with pytest.raises(ValueError, match=r"snr_db must be a non-empty list of finite numbers, got \[\]"):
             run_reconstruction_experiment(cfg, SparseTwoPath(), "type1", [], 2)
 
     @pytest.mark.parametrize("threads", [-1, 0])

@@ -1,6 +1,7 @@
-"""scripts/compare_reports.py and scripts/summarize.py on real runs of the CLI."""
+"""scripts/run_all.sh, scripts/compare_reports.py and scripts/summarize.py on real runs of the CLI."""
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 
 from fdd_recon.cli import EXIT_OK, main
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+sys.path.insert(0, str(SCRIPTS))
 import compare_reports  # noqa: E402
 import summarize  # noqa: E402
 
@@ -68,3 +70,18 @@ def test_summarize_shows_a_null_point(run, capsys):
     assert summarize.main(["summarize.py", str(run / "a" / "crb" / "report.json")]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert any(line.split()[:2] == ["eps_mu_db", "-40.0dB:"] and line.split()[2] == "null" for line in lines)
+
+
+def test_run_all_runs_every_config_at_the_given_trial_count(tmp_path, capsys):
+    out = tmp_path / "out"
+    done = subprocess.run(
+        ["bash", str(SCRIPTS / "run_all.sh"), str(out), "1", "1"], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    configs = sorted(p.stem for p in (SCRIPTS / "configs").glob("*.json"))
+    assert sorted(p.name for p in out.iterdir()) == configs
+    assert done.stdout.count("ok: ") == len(configs)
+    for name in configs:
+        assert json.loads((out / name / "report.json").read_text(encoding="utf-8"))["report"]["trials"] == 1
+    code, summary = compare(out, out, capsys)
+    assert code == 0 and summary.splitlines()[-1] == "identical"
