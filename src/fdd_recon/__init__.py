@@ -11,7 +11,7 @@ from .model import (
     synthesize_uplink,
 )
 from .nomp import NompConfig, NompResult, RankDeficientError, StoppingRule, nomp_extract
-from .bounds import CrbReport, crb, fisher_matrix
+from .bounds import crb
 from .downlink import (
     BeamformingType,
     EmptyEstimatesError,
@@ -53,8 +53,6 @@ __all__ = [
     "RankDeficientError",
     "nomp_extract",
     "crb",
-    "CrbReport",
-    "fisher_matrix",
     "BeamformingType",
     "PilotPattern",
     "EmptyEstimatesError",

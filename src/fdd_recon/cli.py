@@ -3,8 +3,9 @@
 #   fdd-recon run <config.json> [--out DIR] [--trials N] [--seed S] [--threads W]
 #   fdd-recon verify <report.json>
 #
-# Outputs: report.json (full provenance), curves.csv (one row per sweep point
-# or per (snr, estimator)), and cdf_*.csv sample files.  Every file embeds the
+# Outputs: report.json (full provenance, strict JSON: a missing value or bound
+# is null), curves.csv (one row per sweep point or per (snr, estimator); an
+# empty cell for null), and cdf_*.csv sample files.  Every file embeds the
 # config hash; writes go to a temp file and are atomically renamed.
 from __future__ import annotations
 
@@ -93,8 +94,9 @@ def _worker_count(flag: int | None) -> int:
 
 def _single_blas_thread():
     """Run numpy's bundled OpenBLAS on one thread unless OPENBLAS_NUM_THREADS
-    or OMP_NUM_THREADS sets its count: each trial worker is pinned to one CPU,
-    which OpenBLAS's own threads would share.  Forked workers inherit it."""
+    or OMP_NUM_THREADS sets its count: the trial workers already keep the cores
+    busy, and OpenBLAS's own threads would oversubscribe them.  Forked workers
+    inherit it."""
     if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
         return
     found = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
@@ -175,7 +177,7 @@ def _write_outputs(report: ExperimentReport, config: Dict[str, Any], out_dir: Pa
         "build": _git_describe(),
         "report": asdict(report),
     }
-    _atomic_write(out_dir / "report.json", json.dumps(payload, indent=2, default=float) + "\n")
+    _atomic_write(out_dir / "report.json", json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n")
     _atomic_write(out_dir / "curves.csv", _curves_csv(report, chash))
     for name, per_snr in report.per_trial_db.items():
         for i, samples in enumerate(per_snr):
@@ -302,7 +304,7 @@ def main(argv=None) -> int:
         "--threads",
         type=int,
         default=None,
-        help="trial workers: this process plus forked copies, each pinned to one CPU; "
+        help="trial workers: this process plus forked copies; "
         "reports are bit-identical at any count (default: FDD_RECON_THREADS, else 1)",
     )
     p_run.set_defaults(func=_cmd_run)

@@ -13,8 +13,8 @@
 # its set-up, its trial function and how its counts map to extras.
 #
 # Trials run on `threads` trial workers: this process and copies of it forked
-# once per experiment run, each pinned to one CPU (a trial holds the GIL, so
-# threads could not run two at once).
+# once per experiment run (a trial holds the GIL, so threads could not run two
+# at once).
 from __future__ import annotations
 
 import os
@@ -228,7 +228,7 @@ class ExperimentReport:
     snr_db: List[float]
     curves: Dict[str, List[float | None]]  # mean MSE (dB) per SNR point; None: no values
     per_trial_db: Dict[str, List[List[float]]]  # per SNR point, per trial
-    bounds: Dict[str, List[float]] = field(default_factory=dict)
+    bounds: Dict[str, List[float | None]] = field(default_factory=dict)  # None: no bound
     extras: Dict[str, object] = field(default_factory=dict)
     wall_clock_s: float = 0.0
 
@@ -237,20 +237,17 @@ class ExperimentReport:
 
 
 def _trial_worker(
-    fn: Callable[[int], object], w: int, trials: int, workers: int, out: int, inherited: List[int], cpu
+    fn: Callable[[int], object], w: int, trials: int, workers: int, out: int, inherited: List[int]
 ) -> NoReturn:
     """Body of forked worker w: close the inherited pipe ends, run trials
-    w, w + workers, ... on CPU `cpu` (None: unpinned), and write the pickled
-    (True, results) or (False, exception) to the pipe end `out`.  It always
-    ends in os._exit, so it never unwinds into its caller's stack or flushes
-    stdio buffers copied from the parent; what does not pickle ends it with
-    status 1 and no reply."""
+    w, w + workers, ... and write the pickled (True, results) or (False,
+    exception) to the pipe end `out`.  It always ends in os._exit, so it never
+    unwinds into its caller's stack or flushes stdio buffers copied from the
+    parent; what does not pickle ends it with status 1 and no reply."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
-        if cpu is not None:
-            os.sched_setaffinity(0, {cpu})
         try:
             reply = pickle.dumps((True, [fn(t) for t in range(w, trials, workers)]))
         except BaseException as err:
@@ -271,30 +268,21 @@ def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
     Worker 0 is this process.  Workers 1.. are forked here, so they inherit fn
     and the sweep points it closes over (neither pickles), and send back only
     their pickled results, or the exception they raised, through a pipe.
-    This process runs on the first CPU of its affinity mask and worker w on
-    CPU w mod the mask's size, because a forked child stays on its parent's
-    CPU where the scheduler does not balance load; the mask is restored on
-    return.  Without os.fork the trials run serially.
+    Without os.fork the trials run serially.
     """
     workers = min(threads, trials)
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(t) for t in range(trials)]
-    pin = hasattr(os, "sched_setaffinity")
-    mask = os.sched_getaffinity(0) if pin else set()
-    cpus = sorted(mask)
     pids: Dict[int, int] = {}  # worker -> pid, until reaped
     pipes: Dict[int, int] = {}  # worker -> read end of its pipe, until closed
     try:
-        if pin:
-            os.sched_setaffinity(0, {cpus[0]})
         for w in range(1, workers):
             r, out = os.pipe()
             pipes[w] = r
-            cpu = cpus[w % len(cpus)] if pin else None
             try:
                 pid = os.fork()
                 if pid == 0:  # the child ends inside _trial_worker
-                    _trial_worker(fn, w, trials, workers, out, list(pipes.values()), cpu)
+                    _trial_worker(fn, w, trials, workers, out, list(pipes.values()))
                 pids[w] = pid
             finally:
                 os.close(out)
@@ -323,8 +311,6 @@ def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if pin:
-            os.sched_setaffinity(0, mask)
 
 
 def _sweep(
@@ -467,7 +453,7 @@ def run_crb_experiment(
     radius_nu = 0.5 / (nomp_cfg.gamma2 * cfg.M)
 
     snr_list = _snr_powers(snr_list_db)
-    bound_reports = [crb(cfg.M, cfg.N, snr) for snr in snr_list]
+    bounds = [crb(cfg.M, cfg.N, snr) for snr in snr_list]
 
     def trial(snr: float, rng: np.random.Generator) -> TrialRecord:
         truth = generate_scenario(cfg, scenario, rng, total_power=snr * scenario.count)
@@ -481,9 +467,10 @@ def run_crb_experiment(
         return TrialRecord({"eps_mu_db": sq_mu, "eps_nu_db": sq_nu}, {"missed": missed, "fakes": fakes})
 
     report, counts = _run("crb", snr_list_db, snr_list, trials, seed, threads, trial, t0)
+    # a coordinate sampled once has no bound: None, like a curve point without values
     report.bounds = {
-        "bound_mu_db": [to_db(r.eps_mu_bound) for r in bound_reports],
-        "bound_nu_db": [to_db(r.eps_nu_bound) for r in bound_reports],
+        name: [to_db(b) if np.isfinite(b) else None for b in column]
+        for name, column in zip(("bound_mu_db", "bound_nu_db"), zip(*bounds))
     }
     report.extras = {
         "missed_rate": [m / (trials * scenario.count) for m in counts["missed"]], "false_alarms": counts["fakes"]

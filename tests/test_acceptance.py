@@ -16,8 +16,7 @@ from fdd_recon import (
     SparseTwoPath,
     StoppingRule,
     SystemConfig,
-    atom,
-    fisher_matrix,
+    crb,
     nomp_extract,
     run_crb_experiment,
     run_false_alarm_experiment,
@@ -28,7 +27,7 @@ from fdd_recon import (
 from fdd_recon.downlink import refine_gains
 from fdd_recon.config import wrapped_dists
 from fdd_recon.harness import EqualPowerGrid
-from oracles import grad_hess, objective_S, phase_error_law
+from oracles import grad_hess, mc_fisher_diagonal, objective_S, phase_error_law
 
 THREADS = int(os.environ.get("FDD_RECON_THREADS", "1"))
 
@@ -284,33 +283,13 @@ def test_criterion_8_array_size_gain(capsys):
     )
 
 
-def _mc_fisher_diagonal(M, N, g, draws=20_000, step=1e-5, seed=0):
-    # Monte-Carlo curvature oracle: -E[d^2 lnL] via central differences of
-    # lnL = -||y - g u(mu, nu)||^2 on simulated data.
-    cfg = SystemConfig(M=M, N=N)
-    rng = np.random.default_rng(seed)
-    mu0, nu0 = 0.37, 0.21
-    u0 = atom(cfg, mu0, nu0)
-    z_mean = (
-        rng.standard_normal((draws, cfg.N, cfg.M)) + 1j * rng.standard_normal((draws, cfg.N, cfg.M))
-    ).mean(axis=0) / np.sqrt(2.0)
-    out = []
-    for axis in (0, 1):
-        vals = []
-        for sign in (+1, -1):
-            mu = mu0 + sign * step * (axis == 0)
-            nu = nu0 + sign * step * (axis == 1)
-            d = g * (u0 - atom(cfg, mu, nu))
-            vals.append(-(np.vdot(d, d).real + 2 * np.real(np.vdot(z_mean, d))))
-        out.append(-(vals[0] + vals[1]) / step**2)
-    return np.array(out)
-
-
 def test_criterion_9_numerical_oracles(capsys):
     # (a) analytic gradient/Hessian of the refinement objective match central
     # finite differences to 1e-4 relative on 100 random instances; (b) the LS
     # gain solve matches the normal equations to 1e-7; (c) the closed-form
-    # Fisher diagonal matches a Monte-Carlo curvature estimate to 2%.
+    # Fisher diagonal behind crb's bounds, F_mumu = N^2 / eps_mu and
+    # F_nunu = M^2 / eps_nu at snr = |g|^2, matches a Monte-Carlo curvature
+    # estimate to 2%.
     cfg = SystemConfig(M=4, N=8)
     h = 1e-6
     worst_fd = 0.0
@@ -351,11 +330,10 @@ def test_criterion_9_numerical_oracles(capsys):
         x_ne = np.linalg.solve(A.conj().T @ A, A.conj().T @ y)
         worst_ls = max(worst_ls, float(np.linalg.norm(x - x_ne) / np.linalg.norm(x_ne)))
 
-    g = np.sqrt(10.0)
-    F = fisher_matrix(16, 32, g)
-    mc = _mc_fisher_diagonal(16, 32, g)
-    # closed form orders the angle block first; MC axis 0 is mu
-    fisher_rel = max(abs(mc[0] / F[1, 1] - 1.0), abs(mc[1] / F[0, 0] - 1.0))
+    M, N, g = 16, 32, np.sqrt(10.0)
+    eps_mu, eps_nu = crb(M, N, abs(g) ** 2)
+    mc = mc_fisher_diagonal(M, N, g)
+    fisher_rel = max(abs(mc[0] / (N**2 / eps_mu) - 1.0), abs(mc[1] / (M**2 / eps_nu) - 1.0))
 
     ok = worst_fd <= 1e-4 and worst_ls <= 1e-7 and fisher_rel <= 0.02
     report_line(

@@ -45,6 +45,11 @@ EMPTY_POINT_CONFIG = {
 FALSE_ALARM_CONFIG = {"experiment": "false-alarm", "system": {"M": 2, "N": 8}, "trials": 2, "p_fa": 0.5}
 
 
+def reject_constant(token):
+    """parse_constant for json.loads: NaN and Infinity are not JSON."""
+    raise ValueError(f"non-JSON token {token}")
+
+
 def write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -83,15 +88,12 @@ class TestRun:
         assert estimators == {"ls", "lmmse", "uplink_recon", "downlink_recon", "direct_inference"}
 
     def test_point_without_values_is_null_in_report_and_empty_in_csv(self, tmp_path):
-        def reject(token):
-            raise ValueError(f"non-JSON token {token}")
-
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["run", str(write_config(tmp_path, EMPTY_POINT_CONFIG)), "--out", str(out)]) == EXIT_OK
         assert [str(w.message) for w in caught] == []
-        report = json.loads((out / "report.json").read_text(encoding="utf-8"), parse_constant=reject)["report"]
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"), parse_constant=reject_constant)["report"]
         assert report["extras"]["missed_rate"][0] == 1.0
         for name in ("eps_mu_db", "eps_nu_db"):
             assert report["curves"][name][0] is None
@@ -101,6 +103,39 @@ class TestRun:
         assert rows[0].split(",")[:3] == ["-40.0", "", ""]
         assert all(cell for cell in rows[1].split(","))
         assert sorted(p.name for p in out.glob("cdf_*.csv")) == ["cdf_eps_mu_db_snr20.0.csv", "cdf_eps_nu_db_snr20.0.csv"]
+
+    @pytest.mark.parametrize(
+        "system, separation, missing, present",
+        [
+            ({"M": 1, "N": 16}, {"min_sep_nu": 0.1}, "bound_nu_db", "bound_mu_db"),
+            ({"M": 4, "N": 1}, {"min_sep_mu": 0.1}, "bound_mu_db", "bound_nu_db"),
+        ],
+        ids=["M1", "N1"],
+    )
+    def test_coordinate_sampled_once_has_null_bound(self, tmp_path, system, separation, missing, present):
+        config = {
+            "experiment": "crb",
+            "system": system,
+            "scenario": {"kind": "equal_power_grid", "count": 2, **separation},
+            "snr_db": [20.0],
+            "trials": 3,
+            "seed": 0,
+        }
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"), parse_constant=reject_constant)["report"]
+        assert report["bounds"][missing] == [None]
+        assert isinstance(report["bounds"][present][0], float)
+        header, row = (out / "curves.csv").read_text(encoding="utf-8").splitlines()[1:]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells[missing] == ""
+        assert cells[present] == repr(report["bounds"][present][0])
+
+    def test_report_with_a_non_finite_number_is_not_written(self, tmp_path):
+        report = harness.ExperimentReport("crb", 0, 1, [20.0], {"eps_mu_db": [float("inf")]}, {"eps_mu_db": [[]]})
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            cli._write_outputs(report, dict(BASE_CONFIG), tmp_path)
+        assert not (tmp_path / "report.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)

@@ -603,17 +603,15 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(AFFINITY_AT_IMPORT is None or not hasattr(os, "fork"), reason="forked, pinned workers: Linux")
+@pytest.mark.skipif(AFFINITY_AT_IMPORT is None or not hasattr(os, "fork"), reason="forked workers: Linux")
 class TestTrialWorkers:
-    def test_trial_t_runs_on_worker_t_mod_workers_pinned_to_its_cpu(self):
-        cpus = sorted(AFFINITY_AT_IMPORT)
+    def test_trial_t_runs_on_worker_t_mod_workers(self):
         with time_limit(30):
-            out = _map_trials(lambda t: (t, os.getpid(), sorted(os.sched_getaffinity(0))), 7, 3)
+            out = _map_trials(lambda t: (t, os.getpid()), 7, 3)
         assert [r[0] for r in out] == list(range(7))
         assert [r[1] == os.getpid() for r in out] == [t % 3 == 0 for t in range(7)]
         assert len({r[1] for r in out}) == 3
-        assert [r[2] for r in out] == [[cpus[t % 3 % len(cpus)]] for t in range(7)]
-        assert os.sched_getaffinity(0) == AFFINITY_AT_IMPORT  # the parent's mask is restored
+        assert os.sched_getaffinity(0) == AFFINITY_AT_IMPORT  # the pool leaves the mask alone
         assert_no_child_left()
 
     def test_more_workers_than_trials_and_payloads_over_a_pipe_buffer(self):
