@@ -24,10 +24,10 @@ SEED = 0
 
 
 def run_cli(config: Path, out: Path, workers: int) -> Path:
-    """Run config through the CLI in a child process at TRIALS and SEED with
-    one BLAS thread, writing to out; return the path of its report."""
+    """Run config through the CLI in a child process at TRIALS and SEED,
+    writing to out; return the path of its report."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=path)
     command = [sys.executable, "-m", "fdd_recon.cli", "run", str(config), "--out", str(out)]
     command += ["--trials", str(TRIALS), "--seed", str(SEED), "--threads", str(workers)]
     subprocess.run(command, env=env, check=True, stdout=subprocess.DEVNULL)

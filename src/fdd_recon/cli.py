@@ -10,7 +10,6 @@
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import json
 import os
@@ -20,8 +19,6 @@ import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Dict, List
-
-import numpy as np
 
 from .config import SystemConfig
 from .harness import (
@@ -92,43 +89,19 @@ def _worker_count(flag: int | None) -> int:
     return int(raw)
 
 
-def _single_blas_thread():
-    """Run numpy's bundled OpenBLAS on one thread unless OPENBLAS_NUM_THREADS
-    or OMP_NUM_THREADS sets its count: the trial workers already keep the cores
-    busy, and OpenBLAS's own threads would oversubscribe them.  Forked workers
-    inherit it."""
-    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
-        return
-    found = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
-    try:
-        if not found:
-            raise OSError("numpy bundles no scipy_openblas64 library")
-        setter = ctypes.CDLL(str(found[0])).scipy_openblas_set_num_threads64_
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(1)
-    except (OSError, AttributeError) as err:
-        print(f"warning: BLAS thread count left as it is (set OPENBLAS_NUM_THREADS=1): {err}", file=sys.stderr)
-
-
 def config_hash(config: Dict[str, Any]) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _git_describe() -> str:
+    """The checkout's `git describe`, else "unknown": also without git, or when it takes over 5 s."""
+    command = ["git", "describe", "--always", "--dirty"]
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            cwd=Path(__file__).parent,
-            timeout=5,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
+        out = subprocess.run(command, capture_output=True, text=True, cwd=Path(__file__).parent, timeout=5)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 def _atomic_write(path: Path, text: str):
@@ -246,7 +219,6 @@ def _out_dir(config: Dict[str, Any], flag: str | None) -> Path:
 
 
 def _cmd_run(args) -> int:
-    _single_blas_thread()
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)

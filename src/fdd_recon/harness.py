@@ -14,16 +14,21 @@
 #
 # Trials run on `threads` trial workers: this process and copies of it forked
 # once per experiment run (a trial holds the GIL, so threads could not run two
-# at once).
+# at once).  _map_trials owns the BLAS thread count: from the CLI as from the
+# library, trials run numpy's bundled OpenBLAS on one thread.
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import os
 import pickle
 import signal
 import sys
 import time
 import traceback
+import warnings
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Dict, Iterable, List, NoReturn, Sequence, Tuple
 
 import numpy as np
@@ -261,6 +266,27 @@ def _trial_worker(
         os._exit(code)
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Numpy's bundled OpenBLAS on one thread in the block, and the caller's count
+    back after it, also after an exception; without the library, a warning."""
+    found = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+    try:
+        if not found:
+            raise OSError("numpy bundles no scipy_openblas64 library")
+        blas = ctypes.CDLL(str(found[0]))
+        before, set_count = blas.scipy_openblas_get_num_threads64_(), blas.scipy_openblas_set_num_threads64_
+        set_count(1)
+    except (OSError, AttributeError) as err:
+        warnings.warn(f"BLAS thread count left as it is (set OPENBLAS_NUM_THREADS=1): {err}", RuntimeWarning)
+        set_count = None
+    try:
+        yield
+    finally:
+        if set_count is not None:
+            set_count(before)
+
+
 def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
     """[fn(t) for t in range(trials)] on workers = min(threads, trials) trial
     workers, job t on worker t % workers; _sweep calls it once per run.
@@ -268,49 +294,51 @@ def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
     Worker 0 is this process.  Workers 1.. are forked here, so they inherit fn
     and the sweep points it closes over (neither pickles), and send back only
     their pickled results, or the exception they raised, through a pipe.
-    Without os.fork the trials run serially.
+    Without os.fork the trials run serially.  All run under _one_blas_thread,
+    as the workers keep the cores busy: OpenBLAS threads would oversubscribe them.
     """
     workers = min(threads, trials)
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(t) for t in range(trials)]
-    pids: Dict[int, int] = {}  # worker -> pid, until reaped
-    pipes: Dict[int, int] = {}  # worker -> read end of its pipe, until closed
-    try:
-        for w in range(1, workers):
-            r, out = os.pipe()
-            pipes[w] = r
-            try:
-                pid = os.fork()
-                if pid == 0:  # the child ends inside _trial_worker
-                    _trial_worker(fn, w, trials, workers, out, list(pipes.values()))
-                pids[w] = pid
-            finally:
-                os.close(out)
-        results: list = [None] * trials
-        results[::workers] = [fn(t) for t in range(0, trials, workers)]
-        for w in range(1, workers):
-            with open(pipes[w], "rb", closefd=False) as pipe:
-                reply = pipe.read()
-            os.close(pipes.pop(w))
-            _, status = os.waitpid(pids[w], 0)
-            del pids[w]
-            if not reply:
-                raise TrialWorkerError(
-                    f"trial worker {w} exited with status {os.waitstatus_to_exitcode(status)} without a result"
-                )
-            ok, value = pickle.loads(reply)
-            if not ok:
-                raise value
-            results[w::workers] = value
-        return results
-    finally:
-        # on failure: close the pipes first, so no child stays blocked on a
-        # full one, then stop and reap every child not yet reaped
-        for fd in pipes.values():
-            os.close(fd)
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    with _one_blas_thread():
+        if workers <= 1 or not hasattr(os, "fork"):
+            return [fn(t) for t in range(trials)]
+        pids: Dict[int, int] = {}  # worker -> pid, until reaped
+        pipes: Dict[int, int] = {}  # worker -> read end of its pipe, until closed
+        try:
+            for w in range(1, workers):
+                r, out = os.pipe()
+                pipes[w] = r
+                try:
+                    pid = os.fork()
+                    if pid == 0:  # the child ends inside _trial_worker
+                        _trial_worker(fn, w, trials, workers, out, list(pipes.values()))
+                    pids[w] = pid
+                finally:
+                    os.close(out)
+            results: list = [None] * trials
+            results[::workers] = [fn(t) for t in range(0, trials, workers)]
+            for w in range(1, workers):
+                with open(pipes[w], "rb", closefd=False) as pipe:
+                    reply = pipe.read()
+                os.close(pipes.pop(w))
+                _, status = os.waitpid(pids[w], 0)
+                del pids[w]
+                if not reply:
+                    raise TrialWorkerError(
+                        f"trial worker {w} exited with status {os.waitstatus_to_exitcode(status)} without a result"
+                    )
+                ok, value = pickle.loads(reply)
+                if not ok:
+                    raise value
+                results[w::workers] = value
+            return results
+        finally:
+            # on failure: close the pipes first, so no child stays blocked on a
+            # full one, then stop and reap every child not yet reaped
+            for fd in pipes.values():
+                os.close(fd)
+            for pid in pids.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _sweep(

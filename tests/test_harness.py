@@ -1,8 +1,12 @@
 import contextlib
+import json
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -679,3 +683,59 @@ class TestTrialWorkers:
             _map_trials(trial, 2, 2)
         assert os.sched_getaffinity(0) == AFFINITY_AT_IMPORT
         assert_no_child_left()
+
+
+OPENBLAS = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+
+# Run in a child process with neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS
+# set: the caller sets OpenBLAS to 2 threads, maps two trials on two workers
+# and prints the count each worker read, or null when argv[2] is "raise" and
+# trial 0 raises, and its own count after the map.
+BLAS_PROBE = """
+import ctypes, json, sys
+from fdd_recon import harness
+
+blas = ctypes.CDLL(sys.argv[1])
+count = blas.scipy_openblas_get_num_threads64_
+blas.scipy_openblas_set_num_threads64_(2)
+
+def trial(t):
+    if t == 0 and sys.argv[2] == "raise":
+        raise ValueError("trial 0 failed")
+    return count()
+
+try:
+    workers = harness._map_trials(trial, 2, 2)
+except ValueError:
+    workers = None
+print(json.dumps({"workers": workers, "caller": count()}))
+"""
+
+
+@pytest.mark.skipif(not OPENBLAS or not hasattr(os, "fork"), reason="numpy's bundled OpenBLAS and os.fork")
+class TestBlasThreads:
+    def probe(self, mode):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        command = [sys.executable, "-c", BLAS_PROBE, str(OPENBLAS[0]), mode]
+        out = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60, check=True)
+        return json.loads(out.stdout)
+
+    def test_a_library_trial_map_runs_one_thread_in_every_worker_and_restores_the_callers(self):
+        assert self.probe("ok") == {"workers": [1, 1], "caller": 2}
+
+    def test_the_callers_count_comes_back_when_a_trial_raises(self):
+        assert self.probe("raise") == {"workers": None, "caller": 2}
+
+
+def no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("loader", [no_library, lambda path: object()], ids=["no library", "no symbol"])
+def test_blas_without_the_setter_warns_and_goes_on(monkeypatch, loader):
+    monkeypatch.setattr(harness.ctypes, "CDLL", loader)
+    with pytest.warns(RuntimeWarning, match="BLAS thread count left as it is"):
+        assert _map_trials(lambda t: t, 4, 2) == [0, 1, 2, 3]
+    assert_no_child_left()
