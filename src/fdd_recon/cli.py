@@ -95,10 +95,15 @@ def config_hash(config: Dict[str, Any]) -> str:
 
 
 def _git_describe() -> str:
-    """The checkout's `git describe`, else "unknown": also without git, or when it takes over 5 s."""
+    """`git describe` of the checkout whose src/ holds this package, searched no higher than its root;
+    else "unknown": also for a copy outside a src/ directory, without git, or when it takes over 5 s."""
+    src = Path(__file__).resolve().parent.parent
+    if src.name != "src":
+        return "unknown"
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(src.parent.parent))
     command = ["git", "describe", "--always", "--dirty"]
     try:
-        out = subprocess.run(command, capture_output=True, text=True, cwd=Path(__file__).parent, timeout=5)
+        out = subprocess.run(command, capture_output=True, text=True, cwd=src.parent, env=env, timeout=5)
     except (OSError, subprocess.SubprocessError):
         return "unknown"
     return out.stdout.strip() if out.returncode == 0 else "unknown"

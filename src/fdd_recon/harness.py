@@ -168,6 +168,8 @@ def generate_scenario(
     nu = (d/lambda)*sin(theta) mod 1.
     """
     check_scenario(cfg, spec)
+    if not (finite_real(total_power) and total_power >= 0):
+        raise ValueError(f"total_power must be a finite number >= 0, got {total_power!r}")
 
     d = cfg.d_over_lambda
     if isinstance(spec, SparseTwoPath):

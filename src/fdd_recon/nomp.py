@@ -160,10 +160,6 @@ def newton_refine(
     when it does not reduce the objective; otherwise the inputs are returned
     with applied=False.  After an accepted step the gain is re-fit by LS.
 
-    One antenna (subcarrier) carries no angle (delay) information and zeroes
-    that row of the Hessian, so there the step is on mu (nu) alone, guarded by
-    its own second derivative being negative.
-
     factors is the list [d, a] of (mu, nu)'s ramp_matrices, which an accepted
     step updates in place to the new (mu, nu)'s ramps, and kernel is
     _kernel(cfg).
@@ -171,20 +167,16 @@ def newton_refine(
     d, a = factors
     q = _moments(kernel, residual, d, a) + complex(g).conjugate() * kernel.p
     g_mu, g_nu, h_mm, h_mn, h_nn = _derivatives(q, g)
-    if cfg.M > 1 and cfg.N > 1:
-        det = h_mm * h_nn - h_mn * h_mn
-        if not (det > 0.0 and h_mm < 0.0):
-            return g, mu, nu, False
-        step_mu = (h_nn * g_mu - h_mn * g_nu) / det
-        step_nu = (h_mm * g_nu - h_mn * g_mu) / det
-    elif cfg.N > 1:
-        if not h_mm < 0.0:
-            return g, mu, nu, False
-        step_mu, step_nu = g_mu / h_mm, 0.0
-    else:  # with M = N = 1, h_nn == 0 rejects
-        if not h_nn < 0.0:
-            return g, mu, nu, False
-        step_mu, step_nu = 0.0, g_nu / h_nn
+    # one antenna (subcarrier) zeroes every angle (delay) term: curvature -1 there gives the 1-D step
+    if cfg.M == 1:
+        h_nn = -1.0
+    elif cfg.N == 1:
+        h_mm = -1.0
+    det = h_mm * h_nn - h_mn * h_mn
+    if not (det > 0.0 and h_mm < 0.0):
+        return g, mu, nu, False
+    step_mu = (h_nn * g_mu - h_mn * g_nu) / det
+    step_nu = (h_mm * g_nu - h_mn * g_mu) / det
     mu_new = float((mu - step_mu) % 1.0)
     nu_new = float((nu - step_nu) % 1.0)
     d_new, a_new = ramp_matrices(cfg, mu_new, nu_new)
@@ -355,14 +347,12 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
             f = list(ramp_matrices(cfg, mu, nu))
             g = _ls_gain(cfg, residual, *f)
             path = NormalizedPath(g, mu, nu)
-            if nomp_cfg.single_refine_rounds > 0:
-                held_out = residual - np.outer(g * f[0], f[1])
-                _refine_pass(cfg, held_out, [path], [f], nomp_cfg.single_refine_rounds, kernel)
+            held_out = residual - np.outer(g * f[0], f[1])
+            _refine_pass(cfg, held_out, [path], [f], nomp_cfg.single_refine_rounds, kernel)
             paths.append(path)
             factors.append(f)
 
-            if nomp_cfg.cyclic_refine_rounds > 0:
-                paths = cyclic_refine(cfg, y, paths, nomp_cfg.cyclic_refine_rounds, factors)
+            paths = cyclic_refine(cfg, y, paths, nomp_cfg.cyclic_refine_rounds, factors)
             ramps = _stack(factors)
             try:
                 paths = update_all_gains(cfg, y, paths, *ramps)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -396,6 +397,25 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(write_config(tmp_path, BASE_CONFIG)), "--trials", "1", "--out", str(out)]) == EXIT_OK
         assert json.loads((out / "report.json").read_text(encoding="utf-8"))["build"] == "unknown"
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+    def test_build_describes_only_the_checkout_whose_src_holds_the_package(self, tmp_path, monkeypatch):
+        def git(*args):
+            command = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args]
+            return subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, check=True).stdout.strip()
+
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "outer")
+        head = git("rev-parse", "--short", "HEAD")
+        # copies nested in an unrelated repository must not record its commit
+        for package, build in [
+            ("vendor/src/fdd_recon", "unknown"),
+            ("venv/site-packages/fdd_recon", "unknown"),
+            ("src/fdd_recon", head),
+        ]:
+            (tmp_path / package).mkdir(parents=True)
+            monkeypatch.setattr(cli, "__file__", str(tmp_path / package / "cli.py"))
+            assert cli._git_describe() == build, package
 
     def test_cluster_delay_spread_beyond_symbol_exit2(self, tmp_path, capsys):
         # whether the spread fits depends on N, so the harness checks it against the system before any trial

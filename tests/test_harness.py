@@ -76,6 +76,11 @@ class TestScenarios:
             power = sum(abs(p.gain) ** 2 for p in paths)
             assert power == pytest.approx(3.0, rel=1e-9)
 
+    @pytest.mark.parametrize("total_power", [float("nan"), -1.0, float("inf"), "1.0", None])
+    def test_total_power_that_is_not_a_finite_number_at_least_zero_raises(self, total_power):
+        with pytest.raises(ValueError, match="total_power"):
+            generate_scenario(cfg_mn(4, 32), SparseTwoPath(), np.random.default_rng(0), total_power=total_power)
+
     def test_cluster_respects_spread(self):
         cfg = cfg_mn(8, 64)
         for seed in range(20):

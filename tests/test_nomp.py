@@ -544,6 +544,28 @@ class TestNewtonRefine:
         assert len(res.paths) == 1
         assert abs(res.paths[0].mu - truth.mu) <= 1e-6
 
+    def test_single_subcarrier_recovers_nu(self):
+        # one subcarrier: the Hessian's mu row is zero, the step is on nu alone
+        cfg = SystemConfig(M=16, N=1)
+        truth = NormalizedPath(1.5 - 0.5j, 0.0, 0.377)
+        y = synthesize_from_normalized(cfg, [truth])
+        g0 = ls_gain_single(cfg, y, 0.0, 0.375)
+        r = held_out(cfg, y, g0, 0.0, 0.375)
+        g, mu, nu, ok = newton_refine(cfg, r, g0, 0.0, 0.375, *newton_args(cfg, 0.0, 0.375))
+        assert ok and mu == 0.0
+        assert abs(nu - truth.nu) < abs(0.375 - truth.nu)
+        res = nomp_extract(y, cfg, NompConfig())
+        assert len(res.paths) == 1
+        assert abs(res.paths[0].nu - truth.nu) <= 1e-6
+
+    def test_single_antenna_and_subcarrier_rejects(self):
+        # M = N = 1: neither coordinate carries information, so no step is taken
+        cfg = SystemConfig(M=1, N=1)
+        y = np.array([[1.0 + 2.0j]])
+        g0 = ls_gain_single(cfg, y, 0.0, 0.0)
+        r = held_out(cfg, y, g0, 0.0, 0.0)
+        assert newton_refine(cfg, r, g0, 0.0, 0.0, *newton_args(cfg, 0.0, 0.0)) == (g0, 0.0, 0.0, False)
+
     def test_guard_rejects_indefinite_hessian(self):
         cfg = SystemConfig(M=4, N=8)
         # zero residual and zero gain: Hessian is zero, guard must reject
