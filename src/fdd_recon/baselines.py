@@ -30,13 +30,13 @@ def ls_estimate(received_pilots: np.ndarray, pattern: PilotPattern, cfg: SystemC
     grid; edges held at the nearest pilot."""
     if received_pilots.shape != (pattern.count, cfg.M):
         raise ValueError(f"expected a {pattern.count} x {cfg.M} pilot grid, got shape {received_pilots.shape}")
+    if not np.all(np.isfinite(received_pilots)):
+        raise ValueError("received pilots hold NaN or infinite entries")
     pilot_n = np.array(pattern.indices, dtype=float)
     all_n = cfg.subcarrier_indices.astype(float)
     est = np.empty((cfg.N, cfg.M), dtype=complex)
     for m in range(cfg.M):
-        est[:, m] = np.interp(all_n, pilot_n, received_pilots[:, m].real) + 1j * np.interp(
-            all_n, pilot_n, received_pilots[:, m].imag
-        )
+        est[:, m] = np.interp(all_n, pilot_n, received_pilots[:, m])
     return est
 
 

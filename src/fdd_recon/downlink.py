@@ -8,7 +8,7 @@ from typing import Literal, Sequence, Tuple
 import numpy as np
 
 from .config import NormalizedPath, SystemConfig, check_integer
-from .model import add_noise, offset_phases, ramp_matrices, synthesize_downlink
+from .model import add_noise, offset_phases, path_arrays, ramp_matrices, synthesize_downlink
 from .nomp import RankDeficientError
 
 BeamformingType = Literal["type1", "type2"]
@@ -65,10 +65,10 @@ def _pilot_operator(
     """
     if not beams:
         raise EmptyEstimatesError("need at least one estimated direction to beamform")
-    mus = [p.mu for p in paths]
-    D, A = ramp_matrices(cfg, mus, [p.nu for p in paths])
+    _, mus, nus = path_arrays(paths)
+    D, A = ramp_matrices(cfg, mus, nus)
     phase = D[pattern.rows] * offset_phases(cfg, mus)
-    bf = A.conj().T @ ramp_matrices(cfg, (), [b.nu for b in beams])[1]  # bf[l, j]
+    bf = A.conj().T @ ramp_matrices(cfg, (), path_arrays(beams)[2])[1]  # bf[l, j]
     if btype == "type1":
         return np.vstack([phase * bf[:, j] for j in range(len(beams))])
     if btype == "type2":
@@ -100,7 +100,7 @@ def simulate_downlink_pilots(
     """Received downlink pilots: the true paths, with their gains, beamed at
     the estimated paths' spatial frequencies, plus circular complex Gaussian
     noise drawn from rng (required when noise_variance > 0)."""
-    gains = np.array([p.gain for p in true_paths], dtype=complex)
+    gains = path_arrays(true_paths)[0]
     y = _pilot_operator(cfg, pattern, true_paths, estimates, btype) @ gains
     return add_noise(y, noise_variance, rng)
 
@@ -112,6 +112,8 @@ def refine_gains(A: np.ndarray, y_dl: np.ndarray) -> np.ndarray:
             f"underdetermined refinement: {A.shape[0]} pilots for {A.shape[1]} paths; "
             "densify pilots (smaller K) or switch to type 1"
         )
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y_dl))):
+        raise ValueError("coefficient matrix or pilots hold NaN or infinite entries")
     gains, _, rank, _ = np.linalg.lstsq(A, y_dl, rcond=None)
     if rank < A.shape[1]:
         raise RankDeficientError("coefficient matrix is rank deficient")

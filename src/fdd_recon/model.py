@@ -43,12 +43,23 @@ def atom(cfg: SystemConfig, mu: float, nu: float) -> np.ndarray:
     return np.outer(*ramp_matrices(cfg, mu, nu))
 
 
+def path_arrays(paths: Sequence[NormalizedPath]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The paths' (gains, mus, nus) as arrays; ValueError on a non-finite entry."""
+    gains = np.array([p.gain for p in paths], dtype=complex)
+    mus = np.array([p.mu for p in paths], dtype=float)
+    nus = np.array([p.nu for p in paths], dtype=float)
+    if not all(np.all(np.isfinite(v)) for v in (gains, mus, nus)):
+        raise ValueError("paths hold NaN or infinite gains or coordinates")
+    return gains, mus, nus
+
+
 def synthesize_from_normalized(cfg: SystemConfig, paths: Sequence[NormalizedPath]) -> np.ndarray:
     """N x M channel (D diag(g)) A^T of the paths: D and A are their ramp
     matrices and g their gains, so it is the sum of gain-weighted atoms with
     no atom formed.  Empty input gives the zero grid."""
-    D, A = ramp_matrices(cfg, [p.mu for p in paths], [p.nu for p in paths])
-    return (D * np.array([p.gain for p in paths], dtype=complex)) @ A.T
+    gains, mus, nus = path_arrays(paths)
+    D, A = ramp_matrices(cfg, mus, nus)
+    return (D * gains) @ A.T
 
 
 # The uplink channel; a name of its own, which perfbench/tracer.py hooks.
@@ -63,9 +74,9 @@ def offset_phases(cfg: SystemConfig, mus) -> np.ndarray:
 
 def synthesize_downlink(cfg: SystemConfig, paths: Sequence[NormalizedPath]) -> np.ndarray:
     """synthesize_uplink with each path's gain times its carrier-offset phase."""
-    mus = [p.mu for p in paths]
-    D, A = ramp_matrices(cfg, mus, [p.nu for p in paths])
-    return (D * (np.array([p.gain for p in paths], dtype=complex) * offset_phases(cfg, mus))) @ A.T
+    gains, mus, nus = path_arrays(paths)
+    D, A = ramp_matrices(cfg, mus, nus)
+    return (D * (gains * offset_phases(cfg, mus))) @ A.T
 
 
 def add_noise(values: np.ndarray, variance: float, rng: np.random.Generator | None) -> np.ndarray:
@@ -74,6 +85,8 @@ def add_noise(values: np.ndarray, variance: float, rng: np.random.Generator | No
     the array's entries in C order, whatever its shape."""
     if not variance >= 0:  # NaN fails too
         raise ValueError(f"variance must be >= 0, got {variance!r}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values hold NaN or infinite entries")
     if variance == 0:
         return values
     if rng is None:

@@ -50,13 +50,12 @@ class StoppingRule:
 class NompConfig:
     gamma1: int = 2  # delay-grid over-sampling
     gamma2: int = 4  # angle-grid over-sampling
-    single_refine_rounds: int = 1
     cyclic_refine_rounds: int = 3
     max_paths: int | None = None  # None -> min(M*N // 4, 64)
     stopping: StoppingRule = field(default_factory=StoppingRule)
 
     def __post_init__(self):
-        for name, low in (("gamma1", 1), ("gamma2", 1), ("single_refine_rounds", 0), ("cyclic_refine_rounds", 0)):
+        for name, low in (("gamma1", 1), ("gamma2", 1), ("cyclic_refine_rounds", 0)):
             check_integer(name, getattr(self, name), low)
         if self.max_paths is not None:
             check_integer("max_paths", self.max_paths, 1)
@@ -190,18 +189,18 @@ def newton_refine(
     return g_new, mu_new, nu_new, True
 
 
-def _refine_pass(
+def cyclic_refine(
     cfg: SystemConfig,
     residual: np.ndarray,
     paths: Sequence[NormalizedPath],
     factors: Sequence[List[np.ndarray]],
     rounds: int,
-    k: _Kernel,
-):
-    """rounds Newton steps on each path in order, in place.  The N x M
-    residual holds every path out before and after each step.  An accepted
-    step from (g, d, a) to (g', d', a') adds [g d, -g' d'] [a; a']^T to it
-    and a rejected step leaves it as it is.
+) -> None:
+    """rounds Newton steps on each path in detection order, updating the
+    paths, their [delay ramp, steering ramp] factors and the N x M residual
+    in place.  The residual holds every path out before and after each step.
+    An accepted step from (g, d, a) to (g', d', a') adds [g d, -g' d'] [a; a']^T
+    to it and a rejected step leaves it as it is.
 
     The update is one (N x 4)(4 x 2M) real product on the arrays' float
     views: left's float view holds the columns (Re, Im) of g d and of -g' d',
@@ -209,6 +208,7 @@ def _refine_pass(
     the product interleaved, as the update's float view stores them.  It
     has the flops of the (N x 2)(2 x M) complex product and took 4.6 us
     against 10.7 us for it at M = 32, N = 128 (OpenBLAS, one thread, x86-64)."""
+    k = _kernel(cfg)
     left = np.empty((cfg.N, 2), dtype=complex)
     right = np.empty((4, cfg.M), dtype=complex)
     update = np.empty((cfg.N, cfg.M), dtype=complex)
@@ -226,42 +226,6 @@ def _refine_pass(
                 np.multiply(f[1], 1j, out=right[3])
                 np.matmul(left_f, right_f, out=update_f)
                 residual += update
-
-
-def _stack(factors: Sequence[List[np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
-    """The paths' delay ramps as the columns of D and steering ramps as those of A."""
-    return np.column_stack([f[0] for f in factors]), np.column_stack([f[1] for f in factors])
-
-
-def _residual(y: np.ndarray, paths: Sequence[NormalizedPath], D: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """The N x M residual Y - (D diag(g)) A^T, with the paths' delay ramps as
-    the columns of D and steering ramps as those of A."""
-    return y - (D * [p.gain for p in paths]) @ A.T
-
-
-def cyclic_refine(
-    cfg: SystemConfig,
-    y: np.ndarray,
-    paths: Sequence[NormalizedPath],
-    rounds: int,
-    factors: List[List[np.ndarray]],
-) -> List[NormalizedPath]:
-    """Re-run the Newton step on each path in detection order, rounds times.
-
-    The residual stays an N x M grid with every path held out, and each
-    path's atom stays factored as (delay, steering) vectors, which the
-    Newton step reads and updates.  A step never adds its path back: it
-    reads the path's part of the target in closed form, and an accepted step
-    costs one rank-two residual update.
-
-    factors is the list of each path's [delay ramp, steering ramp], which is
-    updated in place to the refined paths' ramps.
-    """
-    if not paths:
-        raise ValueError("cyclic_refine needs at least one path")
-    paths = [NormalizedPath(p.gain, p.mu, p.nu) for p in paths]
-    _refine_pass(cfg, _residual(y, paths, *_stack(factors)), paths, factors, rounds, _kernel(cfg))
-    return paths
 
 
 def update_all_gains(
@@ -300,10 +264,10 @@ def false_alarm_threshold(cfg: SystemConfig, p_fa: float) -> float:
     return float(np.log(cfg.size) - np.log(-np.log1p(-p_fa)))
 
 
-def _stopping_fires(cfg: SystemConfig, residual: np.ndarray, power: np.ndarray | None, nomp_cfg: NompConfig) -> bool:
-    """The stopping rule.  The false-alarm rule fires when the residual's
-    grid_power stays below the extreme-value threshold on the N x M DFT's
-    bins; the power rule reads the residual alone and takes power=None."""
+def _stopping_fires(cfg: SystemConfig, residual: np.ndarray, power: np.ndarray, nomp_cfg: NompConfig) -> bool:
+    """The stopping rule, given the residual and its grid_power.  The
+    false-alarm rule fires when the power stays below the extreme-value
+    threshold on the N x M DFT's bins; the power rule reads the residual alone."""
     rule = nomp_cfg.stopping
     if rule.variant == "power":
         return stopping_power(cfg, residual)
@@ -320,7 +284,6 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
     if not np.all(np.isfinite(y)):
         raise ValueError("y holds NaN or infinite entries")
     max_paths = nomp_cfg.resolve_max_paths(cfg)
-    kernel = _kernel(cfg)
     paths: List[NormalizedPath] = []
     factors: List[List[np.ndarray]] = []  # each path's [delay ramp, steering ramp]
     residual = y.astype(complex)
@@ -330,9 +293,8 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
     # a finite y so large that the pursuit's sums overflow raises FloatingPointError
     with np.errstate(over="raise", invalid="raise"):
         while True:
-            # one spectrum per iteration serves the false-alarm rule and the
-            # detection; the power rule decides without it
-            power = None if nomp_cfg.stopping.variant == "power" else grid_power(cfg, residual, nomp_cfg)
+            # one spectrum per iteration serves the stopping rule and the detection
+            power = grid_power(cfg, residual, nomp_cfg)
             if _stopping_fires(cfg, residual, power, nomp_cfg):
                 stop_reason = "criterion"
                 break
@@ -343,25 +305,24 @@ def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> Nomp
                 stop_reason = "stalled"
                 break
 
-            mu, nu, _ = coarse_detect(grid_power(cfg, residual, nomp_cfg) if power is None else power)
-            f = list(ramp_matrices(cfg, mu, nu))
-            g = _ls_gain(cfg, residual, *f)
-            path = NormalizedPath(g, mu, nu)
-            held_out = residual - np.outer(g * f[0], f[1])
-            _refine_pass(cfg, held_out, [path], [f], nomp_cfg.single_refine_rounds, kernel)
-            paths.append(path)
-            factors.append(f)
+            mu, nu, _ = coarse_detect(power)
+            d, a = ramp_matrices(cfg, mu, nu)
+            g = _ls_gain(cfg, residual, d, a)
+            paths.append(NormalizedPath(g, mu, nu))
+            factors.append([d, a])
+            # one residual holds every path out from here to the gain update, which rebuilds it from y
+            residual -= np.outer(g * d, a)
+            cyclic_refine(cfg, residual, paths[-1:], factors[-1:], 1)
+            cyclic_refine(cfg, residual, paths, factors, nomp_cfg.cyclic_refine_rounds)
 
-            paths = cyclic_refine(cfg, y, paths, nomp_cfg.cyclic_refine_rounds, factors)
-            ramps = _stack(factors)
+            D, A = np.column_stack([f[0] for f in factors]), np.column_stack([f[1] for f in factors])
             try:
-                paths = update_all_gains(cfg, y, paths, *ramps)
+                paths = update_all_gains(cfg, y, paths, D, A)
             except RankDeficientError as err:
                 keep = sorted(set(range(len(paths))) - {j for _, j in err.duplicates})
-                paths = [paths[i] for i in keep]
-                factors = [factors[i] for i in keep]
-                ramps = _stack(factors)
-                paths = update_all_gains(cfg, y, paths, *ramps)
-            residual = _residual(y, paths, *ramps)
+                paths, factors = [paths[i] for i in keep], [factors[i] for i in keep]
+                D, A = D[:, keep], A[:, keep]
+                paths = update_all_gains(cfg, y, paths, D, A)
+            residual = y - (D * [p.gain for p in paths]) @ A.T
             iterations += 1
     return NompResult(paths=paths, iterations=iterations, stop_reason=stop_reason)

@@ -45,6 +45,16 @@ class TestLsEstimate:
         y_p = h[pat.rows]
         np.testing.assert_allclose(ls_estimate(y_p, pat, cfg), h, rtol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_non_finite_pilots_rejected(self, bad):
+        # a NaN pilot used to be interpolated into NaN estimates
+        cfg = SystemConfig(M=4, N=16, K=4)
+        pat = PilotPattern.from_config(cfg)
+        y_p = flat_channel(cfg)[pat.rows]
+        y_p[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            ls_estimate(y_p, pat, cfg)
+
     def test_noise_floor_matches_monte_carlo(self):
         cfg = SystemConfig(M=2, N=32, K=4)
         pat = PilotPattern.from_config(cfg)

@@ -223,7 +223,7 @@ class TestRun:
             ({"gamma1": 1.5}, "gamma1 must be an integer"),
             ({"gamma1": True}, "gamma1 must be an integer"),
             ({"gamma2": 0}, "gamma2 must be >= 1"),
-            ({"single_refine_rounds": 1.0}, "single_refine_rounds must be an integer"),
+            ({"single_refine_rounds": 1}, "unknown keys in nomp"),
             ({"cyclic_refine_rounds": -1}, "cyclic_refine_rounds must be >= 0"),
             ({"max_paths": 2.5}, "max_paths must be an integer"),
             ({"max_paths": 0}, "max_paths must be >= 1"),

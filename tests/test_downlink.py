@@ -104,6 +104,41 @@ class TestCoefficientMatrix:
         assert np.abs(A[n_p:, 0]).max() <= 1e-9 * cfg.M
 
 
+class TestNonFiniteInput:
+    # each of these used to return NaN output, or pass an unread NaN, without an error
+
+    @pytest.mark.parametrize("btype", ["type1", "type2"])
+    @pytest.mark.parametrize("field", ["mu", "nu"])
+    def test_coefficient_matrix_rejects_a_nan_estimate(self, btype, field):
+        cfg = make_cfg()
+        ests = [NormalizedPath(1.0, 0.1, 0.2), replace(NormalizedPath(1.0, 0.4, 0.6), **{field: np.nan})]
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            build_coefficient_matrix(cfg, PilotPattern.from_config(cfg), ests, btype)
+
+    @pytest.mark.parametrize("btype", ["type1", "type2"])
+    @pytest.mark.parametrize("which", ["truth", "estimate"])
+    @pytest.mark.parametrize("field", ["gain", "mu", "nu"])
+    def test_simulator_rejects_a_nan_path(self, btype, which, field):
+        cfg = make_cfg()
+        paths = {k: [NormalizedPath(1.0, 0.1, 0.2), NormalizedPath(0.5j, 0.4, 0.6)] for k in ("truth", "estimate")}
+        paths[which][1] = replace(paths[which][1], **{field: np.nan})
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            simulate_downlink_pilots(cfg, PilotPattern.from_config(cfg), paths["truth"], paths["estimate"], btype, 0.0)
+
+    def test_refine_gains_rejects_a_nan_pilot(self):
+        cfg = make_cfg()
+        A = build_coefficient_matrix(cfg, PilotPattern.from_config(cfg), mu_nu(cfg, [(1e-6, 0.1)]), "type1")
+        y = A @ np.array([1.0 + 0.5j])
+        y[2] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            refine_gains(A, y)
+
+    def test_reconstruction_rejects_a_nan_refined_gain(self):
+        cfg = make_cfg()
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            reconstruct_downlink(cfg, [1.0, np.nan], mu_nu(cfg, [(1e-6, 0.1), (4e-6, -0.7)]))
+
+
 class TestSimulatePilots:
     def test_truth_fed_noiseless_matches_model(self):
         cfg = make_cfg()

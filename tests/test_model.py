@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from fdd_recon import (
     synthesize_from_normalized,
     synthesize_uplink,
 )
-from fdd_recon.model import _phase_slopes, ramp_matrices
+from fdd_recon.model import _phase_slopes, add_noise, ramp_matrices
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 
@@ -156,6 +158,16 @@ class TestSynthesis:
         np.testing.assert_array_equal(synthesize_uplink(cfg, []), np.zeros((4, 2)))
         np.testing.assert_array_equal(synthesize_downlink(cfg, []), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("synthesize", [synthesize_from_normalized, synthesize_downlink])
+    @pytest.mark.parametrize("field", ["gain", "mu", "nu"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_path_raises(self, synthesize, field, bad):
+        # a NaN gain or coordinate used to come out as a NaN channel
+        cfg = cfg_mn(4, 16)
+        paths = [NormalizedPath(1.0, 0.2, 0.3), replace(NormalizedPath(0.5j, 0.6, 0.7), **{field: bad})]
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            synthesize(cfg, paths)
+
     def test_single_zero_path_all_ones(self):
         cfg = cfg_mn(2, 4)
         h = synthesize_uplink(cfg, [NormalizedPath(gain=1.0, mu=0.0, nu=0.0)])
@@ -231,3 +243,13 @@ class TestSynthesis:
         for p in paths:
             expected[:, 0] += p.gain * np.exp(2j * np.pi * cfg.subcarrier_indices * p.mu)
         np.testing.assert_allclose(synthesize_uplink(cfg, paths), expected, rtol=1e-12)
+
+
+class TestAddNoise:
+    @pytest.mark.parametrize("variance", [0.0, 1.0])
+    def test_non_finite_grid_rejected(self, variance):
+        # a NaN entry used to come out as it went in
+        values = np.ones((16, 4), dtype=complex)
+        values[3, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            add_noise(values, variance, np.random.default_rng(0))

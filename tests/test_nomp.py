@@ -87,6 +87,15 @@ def factors_of(cfg, paths):
     return [[d, a] for d, a in zip(D.T, A.T)]
 
 
+def refine(cfg, y, start, rounds):
+    """cyclic_refine on copies of start against y less their channel: the
+    refined paths and the residual it leaves."""
+    paths = [NormalizedPath(p.gain, p.mu, p.nu) for p in start]
+    residual = y - synthesize_from_normalized(cfg, start)
+    cyclic_refine(cfg, residual, paths, factors_of(cfg, start), rounds)
+    return paths, residual
+
+
 def newton_args(cfg, mu, nu):
     """newton_refine's factors and kernel at (mu, nu)."""
     return list(ramp_matrices(cfg, mu, nu)), nomp._kernel(cfg)
@@ -262,12 +271,12 @@ class TestDenseOracle:
             )
             for p in truth
         ]
-        out = cyclic_refine(cfg, y, start, 3, factors_of(cfg, start))
+        out, residual = refine(cfg, y, start, 3)
         ref = dense_cyclic(cfg, y, start, rounds=3)
         for a, b in zip(out, ref):
             assert_same_path((a.gain, a.mu, a.nu), (b.gain, b.mu, b.nu))
-        # the inputs are left untouched
-        assert start[0].gain == truth[0].gain * 0.9
+        # the residual updated in place is y less the refined paths' channel
+        assert_close_rel(residual, y - synthesize_from_normalized(cfg, out))
 
 
 class TestHeldOutKernel:
@@ -312,10 +321,11 @@ class TestHeldOutKernel:
             return result
 
         monkeypatch.setattr(nomp, "newton_refine", counted)
-        out = cyclic_refine(cfg, y, start, 3, factors_of(cfg, start))
+        out, residual = refine(cfg, y, start, 3)
         assert accepted[True] >= 40 and sum(accepted.values()) == 45
         for a, b in zip(out, dense_cyclic(cfg, y, start, rounds=3)):
             assert_same_path((a.gain, a.mu, a.nu), (b.gain, b.mu, b.nu))
+        assert_close_rel(residual, y - synthesize_from_normalized(cfg, out))
 
     @pytest.mark.parametrize("M,N", [(1, 8), (4, 1), (4, 8), (8, 16)])
     def test_guard_rejected_steps_leave_the_paths_and_residual_alone(self, M, N, monkeypatch):
@@ -334,10 +344,10 @@ class TestHeldOutKernel:
             return result
 
         monkeypatch.setattr(nomp, "newton_refine", spy)
-        out = cyclic_refine(cfg, y, start, 2, factors_of(cfg, start))
+        out, residual = refine(cfg, y, start, 2)
         assert [(p.gain, p.mu, p.nu) for p in out] == [(p.gain, p.mu, p.nu) for p in start]
         assert len(seen) == 4
-        for r in seen[1:]:
+        for r in seen[1:] + [residual]:
             np.testing.assert_array_equal(r, seen[0])
 
 
@@ -354,7 +364,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=re.escape("p_fa must be a number in (0, 1)")):
             StoppingRule(variant, p_fa)
 
-    @pytest.mark.parametrize("field", ["gamma1", "gamma2", "single_refine_rounds", "cyclic_refine_rounds", "max_paths"])
+    @pytest.mark.parametrize("field", ["gamma1", "gamma2", "cyclic_refine_rounds", "max_paths"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", np.float64(3.0)])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -362,14 +372,14 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("gamma1", 0), ("gamma2", -1), ("single_refine_rounds", -1), ("cyclic_refine_rounds", -1), ("max_paths", 0)],
+        [("gamma1", 0), ("gamma2", -1), ("cyclic_refine_rounds", -1), ("max_paths", 0)],
     )
     def test_counts_below_their_minimum_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >= "):
             NompConfig(**{field: value})
 
     def test_integer_counts_accepted(self):
-        nc = NompConfig(gamma1=np.int64(1), gamma2=3, single_refine_rounds=0, cyclic_refine_rounds=0, max_paths=None)
+        nc = NompConfig(gamma1=np.int64(1), gamma2=3, cyclic_refine_rounds=0, max_paths=None)
         assert nc.resolve_max_paths(SystemConfig(M=4, N=8)) == 8
         assert NompConfig(max_paths=np.int32(2)).resolve_max_paths(SystemConfig(M=4, N=8)) == 2
 
@@ -580,7 +590,7 @@ class TestCyclicRefine:
         cfg = SystemConfig(M=4, N=8)
         p = NormalizedPath(1.0 + 2j, 0.3, 0.8)
         y = synthesize_from_normalized(cfg, [p])
-        out = cyclic_refine(cfg, y, [p], 2, factors_of(cfg, [p]))
+        out, _ = refine(cfg, y, [p], 2)
         assert abs(out[0].mu - p.mu) <= 1e-9
         assert abs(out[0].nu - p.nu) <= 1e-9
 
@@ -588,7 +598,7 @@ class TestCyclicRefine:
         cfg = SystemConfig(M=4, N=8)
         paths = [NormalizedPath(1.0, 1 / 8, 1 / 4), NormalizedPath(2.0, 3 / 8, 3 / 4)]
         y = synthesize_from_normalized(cfg, paths)
-        out = cyclic_refine(cfg, y, paths, 3, factors_of(cfg, paths))
+        out, _ = refine(cfg, y, paths, 3)
         for a, b in zip(out, paths):
             assert abs(a.mu - b.mu) <= 1e-9
             assert abs(a.nu - b.nu) <= 1e-9
@@ -606,14 +616,16 @@ class TestCyclicRefine:
             NormalizedPath(0.7j, 0.31 + 1.3 / cfg.N, 0.42 + 0.1 / cfg.M),
         ]
         before = np.linalg.norm(y - synthesize_from_normalized(cfg, start)) ** 2
-        out = cyclic_refine(cfg, y, start, 3, factors_of(cfg, start))
+        out, _ = refine(cfg, y, start, 3)
         after = np.linalg.norm(y - synthesize_from_normalized(cfg, out)) ** 2
         assert after <= before + 1e-12
 
-    def test_empty_paths_rejected(self):
+    def test_empty_paths_leave_the_residual_unchanged(self):
         cfg = SystemConfig(M=2, N=2)
-        with pytest.raises(ValueError):
-            cyclic_refine(cfg, np.zeros((2, 2), dtype=complex), [], 1, [])
+        residual = make_noise(cfg, np.random.default_rng(0))
+        before = residual.copy()
+        cyclic_refine(cfg, residual, [], [], 1)
+        np.testing.assert_array_equal(residual, before)
 
 
 class TestUpdateAllGains:
@@ -785,10 +797,18 @@ class TestNompExtract:
             empty += not res.paths
         assert empty / 200 == pytest.approx(0.95, abs=0.06)
 
-    @pytest.mark.parametrize("max_paths", [2, None])
-    def test_false_alarm_pursuit_transforms_each_residual_once(self, monkeypatch, max_paths):
-        # the stopping rule and the detection share one spectrum per
-        # iteration, and the final stopping check takes one more
+    @pytest.mark.parametrize(
+        "max_paths, variant",
+        [
+            pytest.param(2, "false_alarm", id="2"),
+            pytest.param(None, "false_alarm", id="None"),
+            pytest.param(2, "power", id="power-2"),
+            pytest.param(None, "power", id="power-None"),
+        ],
+    )
+    def test_false_alarm_pursuit_transforms_each_residual_once(self, monkeypatch, max_paths, variant):
+        # under either stopping rule, the rule and the detection share one
+        # spectrum per iteration, and the final stopping check takes one more
         cfg = SystemConfig(M=8, N=32)
         paths = [NormalizedPath(2.0, 0.2, 0.3), NormalizedPath(1.5j, 0.6, 0.8), NormalizedPath(1.0, 0.4, 0.1)]
         y = synthesize_from_normalized(cfg, paths) + make_noise(cfg, np.random.default_rng(4))
@@ -800,7 +820,7 @@ class TestNompExtract:
             return fft2(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft2", counting_fft2)
-        nc = NompConfig(gamma1=2, gamma2=2, max_paths=max_paths, stopping=StoppingRule("false_alarm", p_fa=0.01))
+        nc = NompConfig(gamma1=2, gamma2=2, max_paths=max_paths, stopping=StoppingRule(variant, p_fa=0.01))
         res = nomp_extract(y, cfg, nc)
         assert res.iterations >= 2
         assert res.stop_reason == ("max_paths" if max_paths else "criterion")
@@ -919,13 +939,15 @@ class TestBoundedPursuit:
             nomp_extract(y, cfg, NompConfig())
 
     def test_repeated_duplicate_detection_stalls(self, monkeypatch):
-        # every iteration re-detects the same cell and duplicate removal drops
-        # it again, so the path count never grows and the stopping rule never
-        # fires on the strong residual: only the iteration cap ends the loop
+        # every iteration re-detects the same cell, no Newton step moves it,
+        # and duplicate removal drops it again, so the path count never grows
+        # and the stopping rule never fires on the strong residual: only the
+        # iteration cap ends the loop
         cfg = SystemConfig(M=4, N=8)
         monkeypatch.setattr(nomp, "coarse_detect", lambda power: (0.25, 0.5, 0.0))
+        monkeypatch.setattr(nomp, "newton_refine", lambda cfg, residual, g, mu, nu, *rest: (g, mu, nu, False))
         y = 20.0 * make_noise(cfg, np.random.default_rng(1))
-        nc = NompConfig(single_refine_rounds=0, cyclic_refine_rounds=0, max_paths=3)
+        nc = NompConfig(max_paths=3)
         residuals = record_residuals(monkeypatch)
         with time_limit(10.0):
             res = nomp_extract(y, cfg, nc)
