@@ -10,7 +10,7 @@ from .model import (
     synthesize_from_normalized,
     synthesize_uplink,
 )
-from .nomp import NompConfig, NompResult, RankDeficientError, StoppingRule, nomp_extract
+from .nomp import NompConfig, NompResult, RankDeficientError, nomp_extract
 from .bounds import crb
 from .downlink import (
     BeamformingType,
@@ -49,7 +49,6 @@ __all__ = [
     "synthesize_from_normalized",
     "NompConfig",
     "NompResult",
-    "StoppingRule",
     "RankDeficientError",
     "nomp_extract",
     "crb",

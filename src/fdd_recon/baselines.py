@@ -58,6 +58,8 @@ class LmmseFilter:
     def __matmul__(self, received_pilots: np.ndarray) -> np.ndarray:
         if received_pilots.shape != self.shrink.shape:
             raise ValueError(f"expected a pilot grid of shape {self.shrink.shape}, got {received_pilots.shape}")
+        if not np.all(np.isfinite(received_pilots)):
+            raise ValueError("received pilots hold NaN or infinite entries")
         return self.left @ ((self.u_h @ received_pilots @ self.v_conj) * self.shrink) @ self.right
 
 

@@ -31,13 +31,13 @@ from .harness import (
     run_phase_error_experiment,
     run_reconstruction_experiment,
 )
-from .nomp import NompConfig, StoppingRule
+from .nomp import NompConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# The top-level keys each experiment reads, besides "experiment" and "output".
+# The top-level keys each experiment reads, besides "experiment".
 EXPERIMENT_KEYS = {
     "crb": {"system", "scenario", "nomp", "snr_db", "trials", "seed"},
     "reconstruction": {"system", "scenario", "nomp", "snr_db", "trials", "seed", "beamforming"},
@@ -64,12 +64,10 @@ def _object(obj: Any, context: str) -> Dict[str, Any]:
     return obj
 
 
-def _section(obj: Any, cls, context: str, **nested):
-    """cls(**obj) for a JSON object obj whose keys are fields of the dataclass
-    cls; a key named in nested holds a section of its own, of that type."""
+def _section(obj: Any, cls, context: str):
+    """cls(**obj) for a JSON object obj whose keys are fields of the dataclass cls."""
     _require_keys(_object(obj, context), {f.name for f in fields(cls)}, context)
-    built = {k: _section(obj[k], nested[k], f"{context}.{k}") for k in nested if k in obj}
-    return cls(**{**obj, **built})
+    return cls(**obj)
 
 
 def _scenario(obj: Any):
@@ -175,11 +173,11 @@ def _experiment(config: Dict[str, Any], threads: int) -> ExperimentReport:
     experiment = config.get("experiment")
     if not isinstance(experiment, str) or experiment not in EXPERIMENT_KEYS:
         raise ConfigError(f"experiment must be one of {sorted(EXPERIMENT_KEYS)}, got {experiment!r}")
-    _require_keys(config, EXPERIMENT_KEYS[experiment] | {"experiment", "output"}, "config")
+    _require_keys(config, EXPERIMENT_KEYS[experiment] | {"experiment"}, "config")
     if "system" not in config:
         raise ConfigError("missing 'system' section")
     cfg = _section(config["system"], SystemConfig, "system")
-    nomp_cfg = _section(config["nomp"], NompConfig, "nomp", stopping=StoppingRule) if "nomp" in config else None
+    nomp_cfg = _section(config["nomp"], NompConfig, "nomp") if "nomp" in config else None
     common: Dict[str, Any] = {"threads": threads}
     for key, default in (("trials", 100), ("seed", 0)):
         value = config.get(key, default)
@@ -192,8 +190,6 @@ def _experiment(config: Dict[str, Any], threads: int) -> ExperimentReport:
     if experiment == "false-alarm":
         if "p_fa" not in config:
             raise ConfigError("false-alarm experiment requires 'p_fa'")
-        if "stopping" in config.get("nomp", {}):
-            raise ConfigError("false-alarm experiment takes its stopping rule from 'p_fa', not nomp.stopping")
         return run_false_alarm_experiment(cfg, config["p_fa"], nomp_cfg=nomp_cfg, **common)
     if experiment == "phase-error":
         return run_phase_error_experiment(cfg, **common)
@@ -213,16 +209,6 @@ def run_from_config(config: Dict[str, Any], out_dir: Path, threads: int) -> Expe
     return report
 
 
-def _out_dir(config: Dict[str, Any], flag: str | None) -> Path:
-    """--out, else the config's output.dir, else results."""
-    output = _object(config.get("output", {}), "output")
-    _require_keys(output, {"dir"}, "output")
-    out_dir = output.get("dir", "results")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
-    return Path(flag or out_dir)
-
-
 def _cmd_run(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -240,15 +226,14 @@ def _cmd_run(args) -> int:
             config["trials"] = args.trials
         if args.seed is not None:
             config["seed"] = args.seed
-        out_dir = _out_dir(config, args.out)
-        report = run_from_config(config, out_dir, _worker_count(args.threads))
+        report = run_from_config(config, Path(args.out), _worker_count(args.threads))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as err:  # noqa: BLE001 - boundary: map to exit code
         print(f"runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(f"{report.experiment}: {report.trials} trials in {report.wall_clock_s:.1f}s -> {out_dir}")
+    print(f"{report.experiment}: {report.trials} trials in {report.wall_clock_s:.1f}s -> {args.out}")
     return EXIT_OK
 
 
@@ -274,7 +259,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config")
-    p_run.add_argument("--out", default=None, help="output directory (default: results)")
+    p_run.add_argument("--out", default="results", help="output directory (default: results)")
     p_run.add_argument("--trials", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument(

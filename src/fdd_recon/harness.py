@@ -45,7 +45,7 @@ from .downlink import (
     simulate_downlink_pilots,
 )
 from .model import add_noise, synthesize_downlink, synthesize_from_normalized, synthesize_uplink
-from .nomp import NompConfig, StoppingRule, ls_gain_single, nomp_extract
+from .nomp import NompConfig, ls_gain_single, nomp_extract
 
 MSE_FLOOR_DB = -120.0
 
@@ -291,18 +291,16 @@ def _one_blas_thread():
 
 def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
     """[fn(t) for t in range(trials)] on workers = min(threads, trials) trial
-    workers, job t on worker t % workers; _sweep calls it once per run.
+    workers, at least one, job t on worker t % workers; _sweep calls it once per run.
 
     Worker 0 is this process.  Workers 1.. are forked here, so they inherit fn
     and the sweep points it closes over (neither pickles), and send back only
     their pickled results, or the exception they raised, through a pipe.
-    Without os.fork the trials run serially.  All run under _one_blas_thread,
+    Without os.fork worker 0 runs every trial.  All run under _one_blas_thread,
     as the workers keep the cores busy: OpenBLAS threads would oversubscribe them.
     """
-    workers = min(threads, trials)
+    workers = max(1, min(threads, trials)) if hasattr(os, "fork") else 1
     with _one_blas_thread():
-        if workers <= 1 or not hasattr(os, "fork"):
-            return [fn(t) for t in range(trials)]
         pids: Dict[int, int] = {}  # worker -> pid, until reaped
         pipes: Dict[int, int] = {}  # worker -> read end of its pipe, until closed
         try:
@@ -474,7 +472,7 @@ def run_crb_experiment(
     separate rate.
     """
     t0 = time.perf_counter()
-    nomp_cfg = nomp_cfg or NompConfig(gamma1=2, gamma2=2, stopping=StoppingRule("power"))
+    nomp_cfg = nomp_cfg or NompConfig(gamma1=2, gamma2=2)
     scenario = scenario or EqualPowerGrid()
     if not isinstance(scenario, EqualPowerGrid):
         raise ValueError("crb experiment requires an equal_power_grid scenario")
@@ -520,11 +518,15 @@ def run_false_alarm_experiment(
     nomp_cfg: NompConfig | None = None,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Empirical fake-detection rate of the false-alarm stopping rule on pure
-    unit-variance noise."""
+    """Empirical fake-detection rate of the false-alarm stopping rule at p_fa
+    on pure unit-variance noise.  The rate comes from p_fa alone: a nomp_cfg
+    with a p_fa of its own is rejected."""
     t0 = time.perf_counter()
-    rule = StoppingRule("false_alarm", p_fa=p_fa)
-    nomp_cfg = replace(nomp_cfg or NompConfig(gamma1=2, gamma2=2), stopping=rule)
+    if p_fa is None:
+        raise ValueError("p_fa must be a number in (0, 1), got None")
+    if nomp_cfg is not None and nomp_cfg.p_fa is not None:
+        raise ValueError(f"the false-alarm experiment takes its rate from p_fa, not nomp p_fa = {nomp_cfg.p_fa!r}")
+    nomp_cfg = replace(nomp_cfg or NompConfig(gamma1=2, gamma2=2), p_fa=p_fa)
 
     def trial(_, rng: np.random.Generator) -> TrialRecord:
         noise = add_noise(np.zeros((cfg.N, cfg.M), dtype=complex), 1.0, rng)

@@ -2,7 +2,7 @@
 # refinement of (mu, nu), cyclic re-refinement, and LS gain updates.
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Literal, NamedTuple, Sequence, Tuple
 
@@ -35,30 +35,20 @@ class RankDeficientError(ValueError):
 
 
 @dataclass(frozen=True)
-class StoppingRule:
-    variant: Literal["power", "false_alarm"] = "power"
-    p_fa: float = 0.01
-
-    def __post_init__(self):
-        if self.variant not in ("power", "false_alarm"):
-            raise ValueError(f"stopping variant must be 'power' or 'false_alarm', got {self.variant!r}")
-        if not (finite_real(self.p_fa) and 0 < self.p_fa < 1):
-            raise ValueError(f"p_fa must be a number in (0, 1), got {self.p_fa!r}")
-
-
-@dataclass(frozen=True)
 class NompConfig:
     gamma1: int = 2  # delay-grid over-sampling
     gamma2: int = 4  # angle-grid over-sampling
     cyclic_refine_rounds: int = 3
     max_paths: int | None = None  # None -> min(M*N // 4, 64)
-    stopping: StoppingRule = field(default_factory=StoppingRule)
+    p_fa: float | None = None  # None -> residual-power stopping, else false-alarm stopping at this rate
 
     def __post_init__(self):
         for name, low in (("gamma1", 1), ("gamma2", 1), ("cyclic_refine_rounds", 0)):
             check_integer(name, getattr(self, name), low)
         if self.max_paths is not None:
             check_integer("max_paths", self.max_paths, 1)
+        if self.p_fa is not None and not (finite_real(self.p_fa) and 0 < self.p_fa < 1):
+            raise ValueError(f"p_fa must be a number in (0, 1) or null, got {self.p_fa!r}")
 
     def resolve_max_paths(self, cfg: SystemConfig) -> int:
         if self.max_paths is not None:
@@ -265,13 +255,12 @@ def false_alarm_threshold(cfg: SystemConfig, p_fa: float) -> float:
 
 
 def _stopping_fires(cfg: SystemConfig, residual: np.ndarray, power: np.ndarray, nomp_cfg: NompConfig) -> bool:
-    """The stopping rule, given the residual and its grid_power.  The
-    false-alarm rule fires when the power stays below the extreme-value
-    threshold on the N x M DFT's bins; the power rule reads the residual alone."""
-    rule = nomp_cfg.stopping
-    if rule.variant == "power":
+    """The stopping rule, given the residual and its grid_power.  Without a
+    p_fa the power rule reads the residual alone; the false-alarm rule fires
+    when the power stays below the extreme-value threshold on the N x M DFT's bins."""
+    if nomp_cfg.p_fa is None:
         return stopping_power(cfg, residual)
-    return bool(power[:: nomp_cfg.gamma1, :: nomp_cfg.gamma2].max() < false_alarm_threshold(cfg, rule.p_fa))
+    return bool(power[:: nomp_cfg.gamma1, :: nomp_cfg.gamma2].max() < false_alarm_threshold(cfg, nomp_cfg.p_fa))
 
 
 def nomp_extract(y: np.ndarray, cfg: SystemConfig, nomp_cfg: NompConfig) -> NompResult:

@@ -14,7 +14,6 @@ from fdd_recon import (
     NompConfig,
     NormalizedPath,
     SparseTwoPath,
-    StoppingRule,
     SystemConfig,
     crb,
     nomp_extract,
@@ -46,7 +45,7 @@ def _crb_run(M, N):
         [10.0, 20.0, 30.0],
         trials=200,
         seed=0,
-        nomp_cfg=NompConfig(gamma1=2, gamma2=2, stopping=StoppingRule("power")),
+        nomp_cfg=NompConfig(gamma1=2, gamma2=2),
         scenario=EqualPowerGrid(count=15),
         threads=THREADS,
     )
@@ -141,7 +140,7 @@ def test_criterion_4_noiseless_exact_recovery(capsys):
         gamma1=2,
         gamma2=2,
         cyclic_refine_rounds=12,
-        stopping=StoppingRule("false_alarm", p_fa=0.01),
+        p_fa=0.01,
     )
     rng = np.random.default_rng(0)
     worst_cells = 0.0
@@ -202,7 +201,7 @@ def test_criterion_5_out_of_band_phase_error(capsys):
 
 def _recon(cfg, scenario, btype, K, snr_list, trials, gammas=(2, 2)):
     nomp_cfg = NompConfig(
-        gamma1=gammas[0], gamma2=gammas[1], stopping=StoppingRule("false_alarm", p_fa=0.01)
+        gamma1=gammas[0], gamma2=gammas[1], p_fa=0.01
     )
     return run_reconstruction_experiment(
         replace(cfg, K=K),

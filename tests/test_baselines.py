@@ -159,6 +159,17 @@ class TestLmmseFilter:
         n_p = pat.count
         assert W.nbytes == 16 * (cfg.N * n_p + n_p**2 + 2 * cfg.M**2) + 8 * n_p * cfg.M
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_non_finite_pilots_rejected(self, bad):
+        # one NaN pilot used to make all 64 entries of the estimate NaN
+        cfg = SystemConfig(M=4, N=16, K=4)
+        pat = PilotPattern.from_config(cfg)
+        W = lmmse_filter(pat, cfg, KroneckerCovariance(np.eye(cfg.N), np.eye(cfg.M)))
+        y_p = flat_channel(cfg)[pat.rows]
+        y_p[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            W @ y_p
+
     def test_noise_variance_must_be_positive(self):
         cfg = SystemConfig(M=2, N=16, K=4)
         pat = PilotPattern.from_config(cfg)

@@ -37,7 +37,7 @@ EMPTY_POINT_CONFIG = {
     "experiment": "crb",
     "system": {"M": 4, "N": 16},
     "scenario": {"kind": "equal_power_grid", "count": 2},
-    "nomp": {"gamma1": 2, "gamma2": 2, "stopping": {"variant": "power"}},
+    "nomp": {"gamma1": 2, "gamma2": 2},
     "snr_db": [-40.0, 20.0],
     "trials": 3,
     "seed": 0,
@@ -219,7 +219,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "nomp, message",
         [
-            ({"stopping": {"variant": "bogus"}}, "stopping variant must be"),
+            ({"stopping": {"variant": "false_alarm", "p_fa": 0.01}}, "unknown keys in nomp"),
             ({"gamma1": 1.5}, "gamma1 must be an integer"),
             ({"gamma1": True}, "gamma1 must be an integer"),
             ({"gamma2": 0}, "gamma2 must be >= 1"),
@@ -227,7 +227,8 @@ class TestRun:
             ({"cyclic_refine_rounds": -1}, "cyclic_refine_rounds must be >= 0"),
             ({"max_paths": 2.5}, "max_paths must be an integer"),
             ({"max_paths": 0}, "max_paths must be >= 1"),
-        ],
+        ]
+        + [({"p_fa": v}, "p_fa must be a number in (0, 1) or null") for v in (0, 1, np.nan, np.inf, True, "0.1")],
     )
     def test_bad_nomp_fields_exit2(self, tmp_path, capsys, nomp, message):
         out = tmp_path / "o"
@@ -283,13 +284,13 @@ class TestRun:
         "config, message",
         [
             ([1], "config must be a JSON object, got [1]"),
-            (dict(BASE_CONFIG, output=5), "output must be a JSON object, got 5"),
-            (dict(BASE_CONFIG, output={"dir": 5}), "output.dir must be a string, got 5"),
-            (dict(BASE_CONFIG, output={"path": "x"}), "unknown keys in output: ['path']"),
+            (dict(BASE_CONFIG, output=5), "unknown keys in config: ['output']"),
+            (dict(BASE_CONFIG, output={"dir": "elsewhere"}), "unknown keys in config: ['output']"),
+            (dict(FALSE_ALARM_CONFIG, nomp={"p_fa": 0.5}), "the false-alarm experiment takes its rate from p_fa"),
             (dict(BASE_CONFIG, system=5), "system must be a JSON object, got 5"),
             (dict(BASE_CONFIG, scenario=[1]), "scenario must be a JSON object, got [1]"),
             (dict(BASE_CONFIG, scenario={"count": 2}), "scenario kind must be one of"),
-            (dict(BASE_CONFIG, nomp={"stopping": 5}), "nomp.stopping must be a JSON object, got 5"),
+            (dict(BASE_CONFIG, nomp={"stopping": 5}), "unknown keys in nomp: ['stopping']"),
             (dict(BASE_CONFIG, seed=-1), "seed must be >= 0, got -1"),
             (dict(BASE_CONFIG, scenario={"kind": "equal_power_grid", "count": 0}), "count must be >= 1"),
             (
@@ -339,13 +340,13 @@ class TestRun:
         assert "p_fa must be a number in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("stopping", [{"variant": "false_alarm", "p_fa": 0.5}, {"variant": "power"}])
+    @pytest.mark.parametrize("stopping", [{"p_fa": 0.5}, {"p_fa": 0.01}])
     def test_false_alarm_stopping_rule_comes_from_p_fa_only(self, tmp_path, capsys, stopping):
-        # the rule is the false-alarm rule at the top-level p_fa, so a nomp.stopping rule would go unused
+        # the rule is the false-alarm rule at the top-level p_fa, so a nomp.p_fa would go unused, even an equal one
         out = tmp_path / "o"
-        config = dict(FALSE_ALARM_CONFIG, nomp={"stopping": stopping}, p_fa=0.01)
+        config = dict(FALSE_ALARM_CONFIG, nomp=stopping, p_fa=0.01)
         assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == EXIT_CONFIG
-        assert "stopping rule from 'p_fa'" in capsys.readouterr().err
+        assert "takes its rate from p_fa" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from fdd_recon import (
     NompConfig,
     RankDeficientError,
     SparseTwoPath,
-    StoppingRule,
     SystemConfig,
     add_noise,
     cdf_points,
@@ -438,6 +437,13 @@ class TestExperiments:
         b = run_false_alarm_experiment(cfg, p_fa=0.1, trials=40, seed=2, threads=3)
         assert a.extras["empirical_rate"] == b.extras["empirical_rate"]
         assert 0.0 <= a.extras["empirical_rate"] <= 1.0
+
+    @pytest.mark.parametrize("nomp_p_fa", [0.01, 0.1])
+    def test_false_alarm_experiment_rejects_a_nomp_rate(self, monkeypatch, nomp_p_fa):
+        # the rate comes from p_fa alone: a second one is rejected, even an equal one
+        monkeypatch.setattr(harness, "_map_trials", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(ValueError, match="takes its rate from p_fa"):
+            run_false_alarm_experiment(cfg_mn(4, 16), 0.1, 2, nomp_cfg=NompConfig(p_fa=nomp_p_fa))
 
     def test_phase_error_experiment_deterministic(self):
         cfg = SystemConfig(M=2, N=32, delta_F=300e6, K=4)

@@ -11,7 +11,7 @@ import pytest
 
 from fdd_recon import harness
 from fdd_recon.config import SystemConfig
-from fdd_recon.nomp import NompConfig, StoppingRule
+from fdd_recon.nomp import NompConfig
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -70,7 +70,7 @@ def test_trials_call_every_timed_layer_through_its_hooked_name(monkeypatch):
 
     cfg = SystemConfig(M=4, N=32, delta_F=300e6, K=2)
     harness.run_crb_experiment(cfg, [20.0], trials=1, scenario=harness.EqualPowerGrid(count=2), threads=1)
-    rule = NompConfig(stopping=StoppingRule("false_alarm", p_fa=0.01))
+    rule = NompConfig(p_fa=0.01)
     harness.run_reconstruction_experiment(
         cfg, harness.SparseTwoPath(), "type1", [20.0], trials=1, nomp_cfg=rule, threads=1
     )

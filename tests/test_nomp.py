@@ -2,6 +2,7 @@ import contextlib
 import re
 import signal
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from fdd_recon.nomp import (
     MAX_ITERATIONS_PER_PATH,
     NompConfig,
     RankDeficientError,
-    StoppingRule,
     coarse_detect,
     cyclic_refine,
     false_alarm_threshold,
@@ -352,17 +352,13 @@ class TestHeldOutKernel:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("variant", ["bogus", "Power", "", None])
-    def test_unknown_stopping_variant_rejected(self, variant):
-        # it used to construct and run the false-alarm rule
-        with pytest.raises(ValueError, match="stopping variant"):
-            StoppingRule(variant)
-
-    @pytest.mark.parametrize("variant", ["false_alarm", "power"])
-    @pytest.mark.parametrize("p_fa", ["abc", True, None, float("nan"), 0.0, 1.0, [0.01]])
-    def test_p_fa_must_be_a_number_in_unit_interval(self, variant, p_fa):
-        with pytest.raises(ValueError, match=re.escape("p_fa must be a number in (0, 1)")):
-            StoppingRule(variant, p_fa)
+    @pytest.mark.parametrize("rule", ["false_alarm", "power"])
+    @pytest.mark.parametrize("p_fa", ["abc", True, float("inf"), float("nan"), 0.0, 1.0, [0.01], "0.1", 0, 1])
+    def test_p_fa_must_be_a_number_in_unit_interval(self, rule, p_fa):
+        # a bad rate is rejected whether it replaces a false-alarm rate or the power rule's None
+        start = NompConfig(p_fa=0.01 if rule == "false_alarm" else None)
+        with pytest.raises(ValueError, match=re.escape("p_fa must be a number in (0, 1) or null")):
+            replace(start, p_fa=p_fa)
 
     @pytest.mark.parametrize("field", ["gamma1", "gamma2", "cyclic_refine_rounds", "max_paths"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", np.float64(3.0)])
@@ -736,7 +732,7 @@ class TestStopping:
     def test_zero_residual_stops_both(self):
         cfg = SystemConfig(M=4, N=8)
         z = np.zeros((cfg.N, cfg.M), dtype=complex)
-        nc = NompConfig(gamma1=2, gamma2=2, stopping=StoppingRule("false_alarm", p_fa=0.01))
+        nc = NompConfig(gamma1=2, gamma2=2, p_fa=0.01)
         assert stopping_power(cfg, z)
         assert stopping_false_alarm(cfg, z, 0.01)
         assert nomp._stopping_fires(cfg, z, grid_power(cfg, z, nc), nc)
@@ -747,13 +743,12 @@ class TestStopping:
         # it decides as the rule on the N x M FFT does, on residuals whose
         # peak statistic straddles the threshold
         cfg = SystemConfig(M=4, N=8)
-        rule = StoppingRule("false_alarm", p_fa=0.01)
-        nc = NompConfig(gamma1=gammas[0], gamma2=gammas[1], stopping=rule)
+        nc = NompConfig(gamma1=gammas[0], gamma2=gammas[1], p_fa=0.01)
         rng = np.random.default_rng(31)
         decisions = []
         for scale in np.linspace(0.5, 3.0, 60):
             r = scale * make_noise(cfg, rng)
-            want = stopping_false_alarm(cfg, r, rule.p_fa)
+            want = stopping_false_alarm(cfg, r, nc.p_fa)
             assert nomp._stopping_fires(cfg, r, grid_power(cfg, r, nc), nc) == want
             decisions.append(want)
         assert True in decisions and False in decisions
@@ -761,7 +756,7 @@ class TestStopping:
     def test_power_rule_reads_no_spectrum(self):
         cfg = SystemConfig(M=4, N=8)
         z = np.zeros((cfg.N, cfg.M), dtype=complex)
-        assert nomp._stopping_fires(cfg, z, None, NompConfig(stopping=StoppingRule("power")))
+        assert nomp._stopping_fires(cfg, z, None, NompConfig(p_fa=None))
 
     def test_false_alarm_threshold_value(self):
         cfg = SystemConfig(M=32, N=128)
@@ -789,7 +784,7 @@ class TestNompExtract:
 
     def test_pure_noise_mostly_empty_with_false_alarm_stop(self):
         cfg = SystemConfig(M=4, N=16)
-        nc = NompConfig(gamma1=2, gamma2=2, stopping=StoppingRule("false_alarm", p_fa=0.05))
+        nc = NompConfig(gamma1=2, gamma2=2, p_fa=0.05)
         rng = np.random.default_rng(2)
         empty = 0
         for _ in range(200):
@@ -798,15 +793,15 @@ class TestNompExtract:
         assert empty / 200 == pytest.approx(0.95, abs=0.06)
 
     @pytest.mark.parametrize(
-        "max_paths, variant",
+        "max_paths, p_fa",
         [
-            pytest.param(2, "false_alarm", id="2"),
-            pytest.param(None, "false_alarm", id="None"),
-            pytest.param(2, "power", id="power-2"),
-            pytest.param(None, "power", id="power-None"),
+            pytest.param(2, 0.01, id="2"),
+            pytest.param(None, 0.01, id="None"),
+            pytest.param(2, None, id="power-2"),
+            pytest.param(None, None, id="power-None"),
         ],
     )
-    def test_false_alarm_pursuit_transforms_each_residual_once(self, monkeypatch, max_paths, variant):
+    def test_false_alarm_pursuit_transforms_each_residual_once(self, monkeypatch, max_paths, p_fa):
         # under either stopping rule, the rule and the detection share one
         # spectrum per iteration, and the final stopping check takes one more
         cfg = SystemConfig(M=8, N=32)
@@ -820,7 +815,7 @@ class TestNompExtract:
             return fft2(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft2", counting_fft2)
-        nc = NompConfig(gamma1=2, gamma2=2, max_paths=max_paths, stopping=StoppingRule(variant, p_fa=0.01))
+        nc = NompConfig(gamma1=2, gamma2=2, max_paths=max_paths, p_fa=p_fa)
         res = nomp_extract(y, cfg, nc)
         assert res.iterations >= 2
         assert res.stop_reason == ("max_paths" if max_paths else "criterion")
@@ -980,8 +975,7 @@ class TestBoundedPursuit:
         bad = data.draw(st.sets(st.integers(0, cfg.size - 1), max_size=2))
         for i in bad:
             y.flat[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, complex(1.0, np.nan)]))
-        rule = data.draw(st.sampled_from([StoppingRule("power"), StoppingRule("false_alarm", p_fa=0.05)]))
-        nc = NompConfig(gamma1=2, gamma2=2, stopping=rule)
+        nc = NompConfig(gamma1=2, gamma2=2, p_fa=data.draw(st.sampled_from([None, 0.05])))
         with time_limit(20.0):
             if bad:
                 with pytest.raises(ValueError):
