@@ -24,12 +24,12 @@ SEED = 0
 
 
 def run_cli(config: Path, out: Path, workers: int) -> Path:
-    """Run config through the CLI in a child process at TRIALS and SEED,
-    writing to out; return the path of its report."""
+    """Run config through the CLI in a child process at TRIALS and SEED on
+    workers trial workers, writing to out; return the path of its report."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, FDD_RECON_THREADS=str(workers))
     command = [sys.executable, "-m", "fdd_recon.cli", "run", str(config), "--out", str(out)]
-    command += ["--trials", str(TRIALS), "--seed", str(SEED), "--threads", str(workers)]
+    command += ["--trials", str(TRIALS), "--seed", str(SEED)]
     subprocess.run(command, env=env, check=True, stdout=subprocess.DEVNULL)
     return out / "report.json"
 

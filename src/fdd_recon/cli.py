@@ -1,8 +1,10 @@
 # Configuration-driven experiment runner.
 #
-#   fdd-recon run <config.json> [--out DIR] [--trials N] [--seed S] [--threads W]
+#   [FDD_RECON_THREADS=W] fdd-recon run <config.json> [--out DIR] [--trials N] [--seed S]
 #   fdd-recon verify <report.json>
 #
+# FDD_RECON_THREADS sets the trial workers (default 1); reports are
+# bit-identical at any count.
 # Outputs: report.json (full provenance, strict JSON: a missing value or bound
 # is null), curves.csv (one row per sweep point or per (snr, estimator); an
 # empty cell for null), and cdf_*.csv sample files.  Every file embeds the
@@ -26,6 +28,7 @@ from .harness import (
     EqualPowerGrid,
     ExperimentReport,
     SparseTwoPath,
+    cdf_points,
     run_crb_experiment,
     run_false_alarm_experiment,
     run_phase_error_experiment,
@@ -78,12 +81,12 @@ def _scenario(obj: Any):
     return _section(rest, SCENARIOS[kind], "scenario")
 
 
-def _worker_count(flag: int | None) -> int:
-    """Trial workers from --threads, else FDD_RECON_THREADS, else 1; a
-    count that is not a positive integer is a config error."""
-    raw = os.environ.get("FDD_RECON_THREADS", "1") if flag is None else str(flag)
+def _worker_count() -> int:
+    """Trial workers from FDD_RECON_THREADS, else 1; a count that is not a
+    positive integer is a config error."""
+    raw = os.environ.get("FDD_RECON_THREADS", "1")
     if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigError(f"--threads / FDD_RECON_THREADS must be a positive integer, got {raw!r}")
+        raise ConfigError(f"FDD_RECON_THREADS must be a positive integer, got {raw!r}")
     return int(raw)
 
 
@@ -159,11 +162,9 @@ def _write_outputs(report: ExperimentReport, config: Dict[str, Any], out_dir: Pa
         for i, samples in enumerate(per_snr):
             if not samples:
                 continue
-            x, levels = report.cdf(name, i)
             lines = [["mse_db", "cdf"]]
-            lines += [[_fmt(a), _fmt(b)] for a, b in zip(x, levels)]
-            tag = _fmt(report.snr_db[i]) if report.snr_db else "0"
-            _atomic_write(out_dir / f"cdf_{name}_snr{tag}.csv", _csv(lines, chash))
+            lines += [[_fmt(a), _fmt(b)] for a, b in zip(*cdf_points(samples))]
+            _atomic_write(out_dir / f"cdf_{name}_snr{_fmt(report.snr_db[i])}.csv", _csv(lines, chash))
 
 
 def _experiment(config: Dict[str, Any], threads: int) -> ExperimentReport:
@@ -199,16 +200,6 @@ def _experiment(config: Dict[str, Any], threads: int) -> ExperimentReport:
     return run_reconstruction_experiment(cfg, _scenario(config["scenario"]), btype, snr_db, nomp_cfg=nomp_cfg, **common)
 
 
-def run_from_config(config: Dict[str, Any], out_dir: Path, threads: int) -> ExperimentReport:
-    """Run config and write its outputs; a TypeError or ValueError, never a trial's, is a config error."""
-    try:
-        report = _experiment(config, threads)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
-    _write_outputs(report, config, out_dir)
-    return report
-
-
 def _cmd_run(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -226,7 +217,11 @@ def _cmd_run(args) -> int:
             config["trials"] = args.trials
         if args.seed is not None:
             config["seed"] = args.seed
-        report = run_from_config(config, Path(args.out), _worker_count(args.threads))
+        try:
+            report = _experiment(config, _worker_count())
+        except (TypeError, ValueError) as err:  # a trial's error is a TrialError, a RuntimeError
+            raise ConfigError(str(err)) from err
+        _write_outputs(report, config, Path(args.out))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -257,18 +252,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fdd-recon", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment from a JSON config")
+    p_run = sub.add_parser("run", help="run an experiment from a JSON config (trial workers: FDD_RECON_THREADS, default 1)")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="results", help="output directory (default: results)")
     p_run.add_argument("--trials", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="trial workers: this process plus forked copies; "
-        "reports are bit-identical at any count (default: FDD_RECON_THREADS, else 1)",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="check the embedded config hash of a report")

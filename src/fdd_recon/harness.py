@@ -239,9 +239,6 @@ class ExperimentReport:
     extras: Dict[str, object] = field(default_factory=dict)
     wall_clock_s: float = 0.0
 
-    def cdf(self, curve: str, snr_index: int) -> Tuple[np.ndarray, np.ndarray]:
-        return cdf_points(self.per_trial_db[curve][snr_index])
-
 
 def _trial_worker(
     fn: Callable[[int], object], w: int, trials: int, workers: int, out: int, inherited: List[int]
@@ -566,7 +563,8 @@ def run_phase_error_experiment(
     pattern = PilotPattern.from_config(cfg)
 
     def trial(snr: float, rng: np.random.Generator) -> TrialRecord:
-        path = generate_scenario(cfg, SparseTwoPath(), rng, total_power=snr)[0]
+        # the scenario splits total_power over its two paths: the kept one carries snr
+        path = generate_scenario(cfg, SparseTwoPath(), rng, total_power=2 * snr)[0]
         delta_mu = cfg.delta_f * (rng.uniform(lo, hi) / cfg.delta_F * rng.choice([-1.0, 1.0]))
         # mu of the erroneous delay, kept in [0, 1) by the sign of its error
         mu_hat = path.mu + delta_mu

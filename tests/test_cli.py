@@ -138,11 +138,12 @@ class TestRun:
             cli._write_outputs(report, dict(BASE_CONFIG), tmp_path)
         assert not (tmp_path / "report.json").exists()
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, BASE_CONFIG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", str(cfg_path), "--out", str(out1)]) == EXIT_OK
-        assert main(["run", str(cfg_path), "--out", str(out2), "--threads", "3"]) == EXIT_OK
+        monkeypatch.setenv("FDD_RECON_THREADS", "3")
+        assert main(["run", str(cfg_path), "--out", str(out2)]) == EXIT_OK
         for name in ("curves.csv",):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         cdfs1 = sorted(p.name for p in out1.glob("cdf_*.csv"))
@@ -469,18 +470,27 @@ class TestRun:
         assert payload["report"]["trials"] == 2
         assert payload["seed"] == 9
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork")
     def test_env_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FDD_RECON_THREADS", "2")
-        cfg_path = write_config(tmp_path, BASE_CONFIG)
-        out = tmp_path / "out"
-        assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        # two workers: the CLI process and one forked copy
+        forks = []
+        fork = os.fork
 
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_threads_flag_must_be_positive(self, tmp_path, capsys, value):
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setenv("FDD_RECON_THREADS", "2")
+        assert main(["run", str(write_config(tmp_path, BASE_CONFIG)), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(forks) == 1
+
+    def test_threads_flag_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
-        argv = ["run", str(write_config(tmp_path, BASE_CONFIG)), "--out", str(out), "--threads", value]
-        assert main(argv) == EXIT_CONFIG
-        assert "must be a positive integer" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(write_config(tmp_path, BASE_CONFIG)), "--out", str(out), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", ""])
@@ -491,8 +501,6 @@ class TestRun:
         assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert "must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
-        # the flag, when given, is the count and the variable is not read
-        assert main(["run", str(cfg_path), "--out", str(out), "--threads", "2"]) == EXIT_OK
 
 
 OPENBLAS = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
@@ -506,12 +514,12 @@ from fdd_recon import cli, harness
 
 count = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_
 
-def probe(config, out_dir, threads):
+def probe(config, threads):
     counts = harness._map_trials(lambda t: count(), 2, 2)
     print(json.dumps({"cli": counts[0], "worker": counts[1]}))
     raise SystemExit(0)
 
-cli.run_from_config = probe
+cli._experiment = probe
 cli.main(["run", sys.argv[2]])
 """
 

@@ -475,6 +475,22 @@ class TestExperiments:
         assert len(direct) == 20
         np.testing.assert_allclose(direct, direct[0], rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 23.0])
+    def test_phase_error_path_carries_the_stated_snr(self, monkeypatch, snr_db):
+        # under unit noise the one path's |g|^2 is the per-subcarrier per-antenna SNR
+        seen = []
+        synthesize = harness.synthesize_uplink
+
+        def capture(cfg, paths):
+            seen.extend(paths)
+            return synthesize(cfg, paths)
+
+        monkeypatch.setattr(harness, "synthesize_uplink", capture)
+        run_phase_error_experiment(SystemConfig(M=2, N=16, delta_F=300e6), trials=3, seed=0, snr_db=snr_db)
+        assert len(seen) == 3
+        for path in seen:
+            assert abs(path.gain) ** 2 == pytest.approx(10.0 ** (snr_db / 10.0), rel=1e-12)
+
     @pytest.mark.parametrize("product_range", [(0.1, 0.5), (-0.6, 0.1), (0.5, 0.5), (0.1, float("nan"))])
     def test_phase_error_range_of_half_a_delay_cell_rejected(self, monkeypatch, product_range):
         # |delta_f * delta_tau| >= 1/2 could leave [0, 1) at either sign
@@ -554,7 +570,7 @@ class TestExperiments:
         rep = run_crb_experiment(
             cfg, snr_list_db=[25.0], trials=6, seed=1, scenario=EqualPowerGrid(count=2)
         )
-        x, levels = rep.cdf("eps_mu_db", 0)
+        x, levels = cdf_points(rep.per_trial_db["eps_mu_db"][0])
         assert len(x) == len(levels) > 0
         assert levels[-1] == 1.0
 
