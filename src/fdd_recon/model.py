@@ -24,15 +24,24 @@ def _phase_slopes(cfg: SystemConfig) -> Tuple[np.ndarray, np.ndarray]:
     return n, m
 
 
+def _ramps(slope: np.ndarray, x) -> np.ndarray:
+    """exp(slope * (x mod 1)): a vector for a float x, with Python's %, which
+    equals np.mod on floats; else the matrix of x's ramps as columns."""
+    if isinstance(x, float):
+        return np.exp(slope * (x % 1.0))
+    return np.exp(np.multiply.outer(slope, np.mod(x, 1.0)))
+
+
 def ramp_matrices(cfg: SystemConfig, mus, nus) -> Tuple[np.ndarray, np.ndarray]:
     """Delay ramps exp(j*2*pi*n*np.mod(mu, 1)) over the subcarrier indices and
     steering ramps exp(j*2*pi*m*np.mod(nu, 1)) over the antenna indices.  A
     scalar mu (nu) gives one N-vector (M-vector); a sequence gives the N x L
     matrix D (M x L matrix A) of its ramps as columns, so outer(D[:, l],
     A[:, l]) is the l-th path's atom and D diag(g) A^T the N x M channel of
-    paths with gains g."""
+    paths with gains g.  A float coordinate skips np.mod and
+    np.multiply.outer, two ufunc dispatches that cost more than its ramp."""
     n, m = _phase_slopes(cfg)
-    return np.exp(np.multiply.outer(n, np.mod(mus, 1.0))), np.exp(np.multiply.outer(m, np.mod(nus, 1.0)))
+    return _ramps(n, mus), _ramps(m, nus)
 
 
 def atom(cfg: SystemConfig, mu: float, nu: float) -> np.ndarray:

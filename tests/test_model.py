@@ -83,6 +83,21 @@ class TestRampMatrices:
             np.testing.assert_array_equal(D[:, col], d)
             np.testing.assert_array_equal(A[:, col], a)
 
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 3.75, -0.25, -1e-17])
+    def test_float_coordinates_match_the_ufunc_ramps_bit_for_bit(self, x):
+        # a float takes Python's %, a list np.mod; -1e-17 wraps to 1.0 both ways
+        cfg = cfg_mn(5, 8)
+        n, m = _phase_slopes(cfg)
+        assert x % 1.0 == np.mod(x, 1.0)
+        d, a = ramp_matrices(cfg, x, x)
+        np.testing.assert_array_equal(d, np.exp(np.multiply.outer(n, np.mod(x, 1.0))))
+        np.testing.assert_array_equal(a, np.exp(np.multiply.outer(m, np.mod(x, 1.0))))
+        D, A = ramp_matrices(cfg, [x], [x])
+        np.testing.assert_array_equal(D, np.exp(np.multiply.outer(n, np.mod([x], 1.0))))
+        np.testing.assert_array_equal(A, np.exp(np.multiply.outer(m, np.mod([x], 1.0))))
+        np.testing.assert_array_equal(D[:, 0], d)
+        np.testing.assert_array_equal(A[:, 0], a)
+
     def test_slopes_cached_read_only_and_ramps_fresh(self):
         cfg = cfg_mn(2, 4)
         n, m = _phase_slopes(cfg)

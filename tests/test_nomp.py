@@ -721,6 +721,59 @@ class TestUpdateAllGains:
         assert np.all(np.isfinite(gains))
         assert np.linalg.norm(y.ravel() - U @ gains) == pytest.approx(np.linalg.norm(y.ravel() - U @ dense), rel=1e-9)
 
+    @staticmethod
+    def near_aliased_fit(N, monkeypatch):
+        """One antenna and two paths just more than DUPLICATE_TOL apart in mu:
+        no duplicates, and a Gram singular to working precision but not
+        exactly singular.  Returns the atoms, the grid, the gains and the
+        number of lstsq calls the gain update made."""
+        cfg = SystemConfig(M=1, N=N)
+        paths = [NormalizedPath(0.0, 0.3, 0.1), NormalizedPath(0.0, 0.3 + 1.5 * nomp.DUPLICATE_TOL, 0.6)]
+        U = atom_columns(cfg, paths)
+        y = (2.0 * U[:, 0]) + make_noise(cfg, np.random.default_rng(9), 0.1).ravel()
+        lstsq, calls = np.linalg.lstsq, Counter()
+
+        def counted(*args, **kwargs):
+            calls["lstsq"] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        gains = np.array([p.gain for p in update_all_gains(cfg, y.reshape(N, 1), paths, *ramps_of(cfg, paths))])
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        return U, y, gains, calls["lstsq"]
+
+    def test_near_aliased_atoms_fall_back_to_least_squares(self, monkeypatch):
+        U, y, gains, lstsq_calls = self.near_aliased_fit(4096, monkeypatch)
+        assert lstsq_calls == 1
+        assert np.all(np.isfinite(gains))
+        dense, _, _, _ = np.linalg.lstsq(U, y, rcond=None)
+        assert np.linalg.norm(y - U @ gains) == pytest.approx(np.linalg.norm(y - U @ dense), rel=1e-9)
+
+    def test_near_aliased_atoms_below_the_gram_resolution_fit_as_one_path(self, monkeypatch):
+        # at N = 8 the Gram's rounding, about eps M N, exceeds its near-null
+        # eigenvalue, which dense lstsq on the atoms still resolves; the
+        # minimum-norm fit takes the pair as one path, its gain split evenly
+        U, y, gains, lstsq_calls = self.near_aliased_fit(8, monkeypatch)
+        assert lstsq_calls == 1
+        assert np.all(np.isfinite(gains))
+        assert gains[0] == pytest.approx(gains[1], rel=1e-6)
+        single, _, _, _ = np.linalg.lstsq(U[:, :1], y, rcond=None)
+        assert np.linalg.norm(y - U @ gains) == pytest.approx(np.linalg.norm(y - U[:, :1] @ single), rel=1e-6)
+
+    def test_regular_gram_is_solved_without_lstsq(self, monkeypatch):
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("lstsq called on a regular Gram")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        cfg = SystemConfig(M=32, N=128)
+        rng = np.random.default_rng(15)
+        paths = separated_paths(cfg, 15, rng)
+        U = atom_columns(cfg, paths)
+        g = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+        y = (U @ g).reshape(cfg.N, cfg.M)
+        out = update_all_gains(cfg, y, paths, *ramps_of(cfg, paths))
+        np.testing.assert_allclose([p.gain for p in out], g, rtol=1e-9)
+
 
 class TestStopping:
     def test_power_threshold_value(self):
@@ -801,9 +854,9 @@ class TestNompExtract:
             pytest.param(None, None, id="power-None"),
         ],
     )
-    def test_false_alarm_pursuit_transforms_each_residual_once(self, monkeypatch, max_paths, p_fa):
-        # under either stopping rule, the rule and the detection share one
-        # spectrum per iteration, and the final stopping check takes one more
+    def test_pursuit_transforms_y_once(self, monkeypatch, max_paths, p_fa):
+        # under either stopping rule, one 2D FFT of y serves every iteration;
+        # later spectra come from the ramps' 1-D FFTs
         cfg = SystemConfig(M=8, N=32)
         paths = [NormalizedPath(2.0, 0.2, 0.3), NormalizedPath(1.5j, 0.6, 0.8), NormalizedPath(1.0, 0.4, 0.1)]
         y = synthesize_from_normalized(cfg, paths) + make_noise(cfg, np.random.default_rng(4))
@@ -819,7 +872,41 @@ class TestNompExtract:
         res = nomp_extract(y, cfg, nc)
         assert res.iterations >= 2
         assert res.stop_reason == ("max_paths" if max_paths else "criterion")
-        assert calls["fft2"] == res.iterations + 1
+        assert calls["fft2"] == 1
+
+    @pytest.mark.parametrize(
+        "M, N, gammas, duplicate",
+        [
+            pytest.param(1, 32, (2, 2), False, id="M=1"),
+            pytest.param(16, 1, (2, 4), False, id="N=1"),
+            pytest.param(4, 16, (3, 1), False, id="gamma=(3,1)"),
+            pytest.param(4, 8, (2, 2), True, id="after-duplicate-drop"),
+        ],
+    )
+    def test_each_spectrum_is_the_grid_power_of_its_residual(self, monkeypatch, M, N, gammas, duplicate):
+        cfg = SystemConfig(M=M, N=N)
+        rng = np.random.default_rng(M + N)
+        truth = [NormalizedPath(4.0, 0.2, 0.3), NormalizedPath(-3.0j, 0.55, 0.8), NormalizedPath(2.5, 0.8, 0.05)]
+        y = synthesize_from_normalized(cfg, truth) + make_noise(cfg, rng)
+        nc = NompConfig(gamma1=gammas[0], gamma2=gammas[1], max_paths=3)
+        if duplicate:
+            # every iteration re-detects one cell, whose copy the gain update drops
+            monkeypatch.setattr(nomp, "coarse_detect", lambda power: (0.25, 0.5, 0.0))
+            monkeypatch.setattr(nomp, "newton_refine", lambda cfg, residual, g, mu, nu, *rest: (g, mu, nu, False))
+        seen = []
+        rule = nomp._stopping_fires
+
+        def spy(cfg, residual, power, nomp_cfg):
+            seen.append((residual.copy(), power.copy()))
+            return rule(cfg, residual, power, nomp_cfg)
+
+        monkeypatch.setattr(nomp, "_stopping_fires", spy)
+        res = nomp_extract(y, cfg, nc)
+        assert len(seen) == res.iterations + 1 >= 3
+        assert len(res.paths) == (1 if duplicate else 3)
+        scale = grid_power(cfg, y, nc).max()
+        for residual, power in seen:
+            assert np.max(np.abs(power - grid_power(cfg, residual, nc))) <= 1e-9 * scale
 
     def test_residual_consistency(self, monkeypatch):
         cfg = SystemConfig(M=8, N=32)

@@ -1,4 +1,5 @@
-"""scripts/run_all.sh, scripts/compare_reports.py and scripts/summarize.py on real runs of the CLI."""
+"""scripts/run_all.sh, scripts/compare_reports.py and scripts/summarize.py on
+real runs of the CLI, and scripts/bench_pairs.py on a stubbed benchmark."""
 import json
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ from fdd_recon.cli import EXIT_OK, main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 sys.path.insert(0, str(SCRIPTS))
+import bench_pairs  # noqa: E402
 import compare_reports  # noqa: E402
 import summarize  # noqa: E402
 
@@ -85,3 +87,59 @@ def test_run_all_runs_every_config_at_the_given_trial_count(tmp_path, capsys):
         assert json.loads((out / name / "report.json").read_text(encoding="utf-8"))["report"]["trials"] == 1
     code, summary = compare(out, out, capsys)
     assert code == 0 and summary.splitlines()[-1] == "identical"
+
+
+def test_bench_pairs_alternates_the_sides_and_summarizes(tmp_path, capsys):
+    calls = []
+    rates = {"parent": [10.0, 11.0, 12.0, 13.0], "change": [14.0, 10.5, 15.0, 16.0]}
+    left = {side: iter(values) for side, values in rates.items()}
+
+    def runner(root, workload, seed, seconds):
+        calls.append((seed, root.name, seconds))
+        rate = next(left[root.name])
+        return {"trials_per_s": rate, "wall_s": 1.0 / rate, "est_mse": 0.5}
+
+    for side in rates:
+        (tmp_path / side).mkdir()
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", tmp_path / "change")
+    out = tmp_path / "BENCH_7.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--seeds", "5", "6", "7", "8",
+            "--seconds", "3", "--pr", "7", "--out", str(out)]
+    assert bench_pairs.main(argv, runner=runner) == 0
+    assert [c[:2] for c in calls] == [
+        (5, "parent"), (5, "change"), (6, "change"), (6, "parent"),
+        (7, "parent"), (7, "change"), (8, "change"), (8, "parent"),
+    ]
+    assert {c[2] for c in calls} == {3.0}
+    entry = json.loads(out.read_text(encoding="utf-8"))["pairs"]["w"]
+    assert entry["seeds"] == [5, 6, 7, 8]
+    assert entry["values"]["trials_per_s"] == rates
+    rate = entry["summary"]["trials_per_s"]
+    assert rate["parent_median"] == 11.5 and rate["change_median"] == 14.5
+    assert rate["parent_quartiles"] == [10.25, 12.75] and rate["parent_iqr"] == 2.5
+    assert rate["change_over_parent"] == pytest.approx(14.5 / 11.5)
+    assert rate["pairs_change_better"] == 3 and rate["pairs_equal"] == 0
+    # lower is better for wall time, so the same three pairs win
+    assert entry["summary"]["wall_s"]["pairs_change_better"] == 3
+    mse = entry["summary"]["est_mse"]
+    assert mse["pairs_change_better"] == 0 and mse["pairs_equal"] == 4
+    assert mse["max_pairwise_relative_difference"] == 0.0
+    assert "change better in 3/4" in capsys.readouterr().out
+
+
+def test_bench_pairs_stops_on_a_failed_run(tmp_path, capsys):
+    def runner(root, workload, seed, seconds):
+        raise RuntimeError("outputs incorrect")
+
+    argv = [str(tmp_path), str(SCRIPTS.parent), "--workload", "w", "--seeds", "1", "2", "--pr", "7",
+            "--out", str(tmp_path / "b.json")]
+    assert bench_pairs.main(argv, runner=runner) == 1
+    assert not (tmp_path / "b.json").exists()
+    assert "outputs incorrect" in capsys.readouterr().err
+
+
+def test_bench_pairs_needs_two_seeds(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([str(tmp_path), str(SCRIPTS.parent), "--workload", "w", "--seeds", "1", "--pr", "7"])
+    assert exit_info.value.code == 2
+    assert "at least two --seeds" in capsys.readouterr().err
